@@ -21,8 +21,8 @@ from .closedform import (
     check_charpoly_recurrence,
     count_closed_form_r3,
 )
-from .exactalg import IntMatrix, IntPolynomial, char_poly, count_order_k, mat_pow
-from .opgraph import CompositionRelation, Family, OperationSpace, adjacency_matrix, build_space, cayley_table, in_composition
+from .exactalg import IntMatrix, IntPolynomial, char_poly, count_order_k, walk_char_poly, walk_vectors
+from .opgraph import CompositionRelation, Family, OperationSpace, adjacency_matrix, build_space, cayley_table
 from .sequences import RecurrenceSpec, SequenceRecord, derive_recurrence, oeis_compare, recurrence_table, verify_recurrence
 from .symcalc3 import Direction, Poly3, VecField3, compose_and_check, curl, direction, div, gateaux, grad, verify_identities
 
@@ -63,11 +63,11 @@ __all__ = [
     "export_tree_dot",
     "gateaux",
     "grad",
-    "in_composition",
-    "mat_pow",
     "oeis_compare",
     "per_start_counts",
     "recurrence_table",
     "verify_identities",
     "verify_recurrence",
+    "walk_char_poly",
+    "walk_vectors",
 ]

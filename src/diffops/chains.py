@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EnumerationCapError, InvalidOrderError
-from .exactalg import count_order_k
+from .errors import EnumerationCapError, InvalidArgumentError, InvalidOrderError
+from .exactalg import count_order_k, walk_vectors
 from .opgraph import Family, OperationSpace, ROOT_OP
 
 DEFAULT_CAP = 10**6
@@ -71,38 +71,35 @@ def is_meaningful(space: OperationSpace, ops: tuple[int, ...]) -> bool:
     return all(rel.holds(applied[t], applied[t + 1]) for t in range(len(applied) - 1))
 
 
+def _successors(space: OperationSpace) -> dict[int, tuple[int, ...]]:
+    """The operations whose domain set is the codomain set of each operation."""
+    return {i: tuple(j for j in space.ops if space.dom(j) == space.cod(i)) for i in space.ops}
+
+
+def _check_cap(total: int, cap: int) -> None:
+    if cap < 0:
+        raise InvalidArgumentError(f"cap must be >= 0, got {cap}")
+    if total > cap:
+        raise EnumerationCapError(total, cap)
+
+
 def enumerate_chains(
     space: OperationSpace, k: int, cap: int = DEFAULT_CAP
 ) -> list[CompositionChain]:
     """All meaningful chains of length k, sorted lexicographically by their
     leftmost-first index sequences.
 
-    The count is computed first (cheaply, via the adjacency matrix) and
+    The count is computed first (cheaply, by the walk kernel) and
     compared against the cap so that an oversized request fails fast
     instead of hanging.
     """
     if k < 1:
         raise InvalidOrderError(f"composition order must be >= 1, got {k}")
-    total = count_order_k(space, k)
-    if total > cap:
-        raise EnumerationCapError(total, cap)
-
-    rel = space.relation
-    ops = space.ops
-    found: list[tuple[int, ...]] = []
-
-    def extend(seq: tuple[int, ...]) -> None:
-        if len(seq) == k:
-            found.append(seq)
-            return
-        last = seq[-1]
-        for j in ops:
-            if rel.holds(last, j):
-                extend(seq + (j,))
-
-    for start in ops:
-        extend((start,))
-
+    _check_cap(count_order_k(space, k), cap)
+    nexts = _successors(space)
+    found = [(i,) for i in space.ops]
+    for _ in range(k - 1):
+        found = [seq + (j,) for seq in found for j in nexts[seq[-1]]]
     chains = [
         CompositionChain(tuple(reversed(seq)), (space.dom(seq[0]), space.cod(seq[-1])))
         for seq in found
@@ -121,16 +118,10 @@ def chain_name(chain: CompositionChain, n: int) -> str:
 
 
 def per_start_counts(space: OperationSpace, k: int) -> PerStartCounts:
-    """Count k-chains by leftmost operation via one row-vector iteration:
-    entry j after step t is the number of meaningful t-chains whose
-    last-applied operation is ops[j]."""
-    if k < 1:
-        raise InvalidOrderError(f"composition order must be >= 1, got {k}")
-    rows = space.adjacency_rows()
-    order = len(rows)
-    vec = [1] * order
-    for _ in range(k - 1):
-        vec = [sum(vec[i] * rows[i][j] for i in range(order)) for j in range(order)]
+    """Count k-chains by leftmost (last-applied) operation: the order-k
+    vector of the walk kernel, keyed by operation."""
+    for vec in walk_vectors(space, k):
+        pass
     return PerStartCounts(k, dict(zip(space.ops, vec)))
 
 
@@ -142,17 +133,13 @@ def build_tree(space: OperationSpace, depth: int, cap: int = DEFAULT_CAP) -> Cha
     """
     if depth < 1:
         raise InvalidOrderError(f"tree depth must be >= 1, got {depth}")
-    total = sum(count_order_k(space, d) for d in range(1, depth + 1))
-    if total > cap:
-        raise EnumerationCapError(total, cap)
-    rel = space.relation
+    _check_cap(sum(sum(vec) for vec in walk_vectors(space, depth)), cap)
+    nexts = _successors(space)
 
     def grow(op: int, level: int) -> ChainTreeNode:
         if level == depth:
             return ChainTreeNode(op, ())
-        return ChainTreeNode(
-            op, tuple(grow(j, level + 1) for j in space.ops if rel.holds(op, j))
-        )
+        return ChainTreeNode(op, tuple(grow(j, level + 1) for j in nexts[op]))
 
     # the sentinel root relates to every first-order operation
     return ChainTreeNode(ROOT_OP, tuple(grow(i, 1) for i in space.ops))

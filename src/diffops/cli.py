@@ -15,32 +15,33 @@ import json
 import sys
 
 from .chains import DEFAULT_CAP, chain_name, enumerate_chains, export_tree_dot, per_start_counts
-from .closedform import charpoly_computed, closed_form_result
+from .closedform import closed_form_result
 from .errors import (
     DiffOpsError,
     EnumerationCapError,
-    FixtureError,
     InsufficientTermsError,
+    InvalidArgumentError,
     InvalidDimensionError,
     InvalidDirectionError,
     InvalidOperationError,
     InvalidOrderError,
 )
-from .exactalg import count_order_k, format_poly
+from .exactalg import format_poly
 from .opgraph import Family, build_space
 from .sequences import (
     OEIS_IDS,
-    derive_recurrence,
     fixture_ids,
     format_recurrence,
     id_associations,
     make_record,
     oeis_compare,
+    recurrence_table,
     verify_recurrence,
 )
 from .symcalc3 import fill_vanishing, verify_identities
 
 _USAGE_ERRORS = (
+    InvalidArgumentError,
     InvalidDimensionError,
     InvalidOperationError,
     InvalidOrderError,
@@ -77,23 +78,22 @@ def _count_symbol(family: Family) -> str:
 
 def cmd_count(args) -> int:
     space = build_space(args.dim, args.family)
-    total = count_order_k(space, args.order)
+    ps = per_start_counts(space, args.order)
     payload = {
         "command": "count",
         "family": space.family.value,
         "dim": space.n,
         "order": args.order,
-        "count": str(total),
+        "count": str(ps.total),
     }
     if args.per_start:
-        ps = per_start_counts(space, args.order)
         payload["per_start"] = {str(i): str(c) for i, c in ps.counts.items()}
     if args.format == "json":
         _emit_json(payload)
     else:
-        print(total)
+        print(ps.total)
         if args.per_start:
-            for i, c in per_start_counts(space, args.order).counts.items():
+            for i, c in ps.counts.items():
                 print(f"∇_{i}: {c}")
     return 0
 
@@ -138,7 +138,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_charpoly(args) -> int:
     res = closed_form_result(args.dim, args.family)
-    computed = charpoly_computed(args.dim, args.family)
+    computed = res.computed
     match = "match" if res.matched_computed else "MISMATCH"
     if args.format == "json":
         _emit_json(
@@ -159,17 +159,16 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
-    space = build_space(args.dim, args.family)
-    spec = derive_recurrence(space)
     record = make_record(args.family, args.dim, num_terms=args.upto)
+    spec = record.recurrence
     verified = verify_recurrence(record, args.upto)
-    symbol = _count_symbol(space.family)
+    symbol = _count_symbol(record.family)
     if args.format == "json":
         _emit_json(
             {
                 "command": "recurrence",
-                "family": space.family.value,
-                "dim": space.n,
+                "family": record.family.value,
+                "dim": record.n,
                 "order": spec.order,
                 "coefficients": [str(c) for c in spec.coefficients],
                 "formula": format_recurrence(spec, symbol),
@@ -187,11 +186,11 @@ def cmd_recurrence(args) -> int:
 def cmd_table(args) -> int:
     lo, hi = args.dims
     families = [Family.A, Family.B] if args.family is None else [args.family]
-    rows = []
-    for fam in families:
-        for n in range(lo, hi + 1):
-            spec = derive_recurrence(build_space(n, fam))
-            rows.append((fam, n, spec))
+    rows = [
+        (fam, n, spec)
+        for fam in families
+        for n, spec in zip(range(lo, hi + 1), recurrence_table(fam, lo, hi))
+    ]
     if args.format == "json":
         _emit_json(
             {
@@ -274,18 +273,14 @@ def cmd_verify_identities(args) -> int:
 def cmd_oeis(args) -> int:
     sid = args.id
     if sid not in fixture_ids():
-        print(f"error: unknown sequence id {sid!r}", file=sys.stderr)
-        return 2
+        raise InvalidArgumentError(f"unknown sequence id {sid!r}")
     if (args.family is None) != (args.dim is None):
-        print("error: --family and --dim must be given together", file=sys.stderr)
-        return 2
+        raise InvalidArgumentError("--family and --dim must be given together")
     if args.family is not None:
         if OEIS_IDS.get((args.family, args.dim)) != sid:
-            print(
-                f"error: {sid} is not the sequence of family {args.family.value}, n={args.dim}",
-                file=sys.stderr,
+            raise InvalidArgumentError(
+                f"{sid} is not the sequence of family {args.family.value}, n={args.dim}"
             )
-            return 2
         pairs = [(args.family, args.dim)]
     else:
         pairs = id_associations(sid)
@@ -400,9 +395,6 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FixtureError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
     except DiffOpsError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

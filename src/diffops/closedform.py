@@ -2,9 +2,10 @@
 
 The adjacency matrices of both families admit explicit binomial-sum
 characteristic polynomials and a shared two-step recurrence; this module
-evaluates those forms exactly and checks them against the polynomials
-computed from the matrices themselves. All summation limits are taken
-literally as given; boundary terms vanish through the convention that a
+evaluates those forms exactly and checks them against the computed
+polynomials, which come from the small function-set matrix times the
+Sylvester factor λ^(d-r) (see exactalg.walk_char_poly). All summation
+limits are taken literally as given; boundary terms vanish through the convention that a
 binomial coefficient with a lower index outside 0..top is zero.
 """
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ComputationError, InvalidDimensionError
-from .exactalg import IntPolynomial, char_poly
-from .opgraph import Family, adjacency_matrix, build_space
+from .exactalg import IntPolynomial, walk_char_poly
+from .opgraph import Family, build_space
 
 
 def _binom(top: int, low: int) -> int:
@@ -88,8 +89,9 @@ def charpoly_b_closed(n: int) -> IntPolynomial:
 
 
 def charpoly_computed(n: int, family) -> IntPolynomial:
-    """Characteristic polynomial computed from the adjacency matrix."""
-    return char_poly(adjacency_matrix(build_space(n, family)))
+    """Characteristic polynomial of the adjacency matrix, computed exactly
+    from the function-set matrix."""
+    return walk_char_poly(build_space(n, family))
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,19 @@ class ClosedFormResult:
     n: int
     family: Family
     polynomial: IntPolynomial
-    matched_computed: bool
+    computed: IntPolynomial
+
+    @property
+    def matched_computed(self) -> bool:
+        return self.polynomial == self.computed
 
 
 def closed_form_result(n: int, family) -> ClosedFormResult:
-    """Evaluate the closed form and record whether it equals the computed
-    characteristic polynomial coefficient-by-coefficient."""
+    """Evaluate the closed form next to the computed characteristic
+    polynomial; matched_computed compares them coefficient-by-coefficient."""
     fam = Family.coerce(family)
     closed = charpoly_a_closed(n) if fam is Family.A else charpoly_b_closed(n)
-    return ClosedFormResult(n, fam, closed, closed == charpoly_computed(n, fam))
+    return ClosedFormResult(n, fam, closed, charpoly_computed(n, fam))
 
 
 def check_charpoly_recurrence(n: int, family) -> bool:

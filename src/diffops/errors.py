@@ -21,6 +21,10 @@ class InvalidDirectionError(DiffOpsError, ValueError):
     """Direction vector rejected (zero, or not unit length in strict mode)."""
 
 
+class InvalidArgumentError(DiffOpsError, ValueError):
+    """Any other parameter outside its valid range (cap, range, trials, ...)."""
+
+
 class CompositionTypeError(DiffOpsError, TypeError):
     """Field kind (scalar vs vector) does not match the chain being applied."""
 

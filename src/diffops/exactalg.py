@@ -1,4 +1,6 @@
-"""Exact big-integer matrix arithmetic and characteristic polynomials.
+"""Exact walk counts and characteristic polynomials, both computed on the
+function sets A_0..A_m: one kernel (walk_vectors) serves every count, and
+the characteristic polynomial comes from the small set matrix.
 
 Everything here works over Python's arbitrary-precision integers: walk
 counts grow like 2^k (and golden-ratio powers), so 64-bit arithmetic
@@ -7,7 +9,7 @@ would overflow near k = 60..90 while callers go to k = 200 and beyond.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .errors import ComputationError, InvalidOrderError
 
@@ -35,10 +37,6 @@ class IntMatrix:
     def identity(cls, order: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(order)] for i in range(order)])
 
-    @classmethod
-    def zero(cls, order: int) -> "IntMatrix":
-        return cls([[0] * order for _ in range(order)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -54,28 +52,16 @@ class IntMatrix:
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
         )
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_order(other)
-        return IntMatrix(
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        )
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntMatrix([x * other for x in row] for row in self.rows)
         if not isinstance(other, IntMatrix):
             return NotImplemented
         self._check_same_order(other)
-        n = self.order
         cols = tuple(zip(*other.rows))
         return IntMatrix(
             [sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, e: int) -> "IntMatrix":
         if e < 0:
@@ -91,21 +77,6 @@ class IntMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.order))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
-    def permuted(self, perm: Sequence[int]) -> "IntMatrix":
-        """Simultaneous row/column permutation: entry (i,j) -> (perm[i], perm[j])."""
-        if sorted(perm) != list(range(self.order)):
-            raise ValueError("not a permutation of 0..order-1")
-        return IntMatrix(
-            [self.rows[perm[i]][perm[j]] for j in range(self.order)]
-            for i in range(self.order)
-        )
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
 
     def _check_same_order(self, other: "IntMatrix") -> None:
         if self.order != other.order:
@@ -235,36 +206,51 @@ def format_poly(p: IntPolynomial, var: str = "λ") -> str:
     return " ".join(parts)
 
 
-def mat_pow(M: IntMatrix, e: int) -> IntMatrix:
-    """Exact matrix power via binary exponentiation; M^0 is the identity."""
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    return M ** e
+def walk_vectors(space, k: int) -> Iterator[list[int]]:
+    """Yield, for t = 1..k, the number of meaningful t-th-order compositions
+    by last-applied operation (entry r belongs to space.ops[r]).
 
-
-def count_order_k(space, k: int) -> int:
-    """Number of meaningful k-th-order compositions over the given space.
-
-    Equals the all-ones bilinear form over the (k-1)-th power of the
-    space's adjacency matrix, computed here by an iterated vector-matrix
-    product in O(k * order^2) exact integer operations.
+    Operation j may follow i exactly when cod(i) = dom(j), so each step
+    pools the counts into their codomain sets and hands each operation
+    the total of its domain set: O(order) additions, not a dense
+    vector-matrix product. k < 1 raises on the first iteration.
     """
     if k < 1:
         raise InvalidOrderError(f"composition order must be >= 1, got {k}")
-    rows = space.adjacency_rows()
-    order = len(rows)
-    vec = [1] * order
+    ops = space.ops
+    doms = [space.dom(i) for i in ops]
+    cods = [space.cod(i) for i in ops]
+    vec = [1] * len(ops)
+    yield vec
     for _ in range(k - 1):
-        vec = [sum(vec[i] * rows[i][j] for i in range(order)) for j in range(order)]
+        into = [0] * (space.m + 1)
+        for s, count in zip(cods, vec):
+            into[s] += count
+        vec = [into[s] for s in doms]
+        yield vec
+
+
+def count_order_k(space, k: int) -> int:
+    """Number of meaningful k-th-order compositions over the given space:
+    the total of the order-k walk vector."""
+    for vec in walk_vectors(space, k):
+        pass
     return sum(vec)
 
 
-def count_by_matrix_power(space, k: int) -> int:
-    """Same count through the explicit matrix power; cross-check path."""
-    if k < 1:
-        raise InvalidOrderError(f"composition order must be >= 1, got {k}")
-    M = IntMatrix(space.adjacency_rows()) ** (k - 1)
-    return sum(x for row in M.rows for x in row)
+def walk_char_poly(space) -> IntPolynomial:
+    """Characteristic polynomial det(λI - M) of the space's adjacency matrix.
+
+    M = C·D with C[i][s] = [cod(ops[i]) = s] and D[s][j] = [dom(ops[j]) = s]
+    over the r = m+1 function sets, so by Sylvester's determinant identity
+    det(λI - M) = λ^(d-r) det(λI - T) for the r×r set matrix T = D·C, whose
+    entry (s, t) counts the operations from A_s to A_t.
+    """
+    r = space.m + 1
+    T = [[0] * r for _ in range(r)]
+    for dom, cod in space.signatures.values():
+        T[dom][cod] += 1
+    return char_poly(IntMatrix(T)).shifted(space.order() - r)
 
 
 def char_poly(M: IntMatrix) -> IntPolynomial:

@@ -7,7 +7,7 @@ function sets A_s, and a composition "nabla_j after nabla_i" is
 meaningful exactly when the codomain set of nabla_i is the domain set of
 nabla_j. The same fact is captured twice, by the signature table and by
 a closed-form pair predicate, and the two are cross-validated whenever a
-space is built.
+space is built. All walk computations read the signature table.
 """
 
 from __future__ import annotations
@@ -141,11 +141,6 @@ def build_space(n: int, family) -> OperationSpace:
                     f"family {fam.value}, n={n}"
                 )
     return space
-
-
-def in_composition(rel: CompositionRelation, i: int, j: int) -> bool:
-    """True iff 'nabla_j after nabla_i' is meaningful (nabla_i applied first)."""
-    return rel.holds(i, j)
 
 
 def cayley_table(rel: CompositionRelation) -> tuple[tuple[bool, ...], ...]:

@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 from urllib.request import Request, urlopen
 
-from .errors import FixtureError, InsufficientTermsError, InvalidDimensionError
-from .exactalg import char_poly, count_order_k
-from .opgraph import Family, OperationSpace, adjacency_matrix, build_space
+from .errors import FixtureError, InsufficientTermsError, InvalidArgumentError
+from .exactalg import walk_char_poly, walk_vectors
+from .opgraph import Family, OperationSpace, build_space
 
 # Sequence ids of the counting sequences, keyed by (family, dimension).
 OEIS_IDS = {
@@ -93,26 +93,42 @@ def _annihilates(coeffs: Sequence[int], terms: Sequence[int]) -> bool:
     return all(spec.applies(terms, k) for k in range(order + 1, len(terms) + 1))
 
 
+def _counts(space: OperationSpace, num_terms: int) -> tuple[int, ...]:
+    """Composition counts for k = 1..num_terms, from one walk-kernel pass."""
+    return tuple(sum(vec) for vec in walk_vectors(space, num_terms))
+
+
+def _derive(space: OperationSpace, num_terms: int) -> tuple[RecurrenceSpec, tuple[int, ...]]:
+    """The derived recurrence and the counts for k = 1..max(num_terms, d + 25)
+    from one kernel pass; the first d + 25 counts decide the trimming."""
+    p = walk_char_poly(space)
+    d = p.degree
+    full = tuple(-p.coefficient(d - i) for i in range(1, d + 1))
+    terms = _counts(space, max(num_terms, d + 25))
+    coeffs = full
+    while len(coeffs) > 1 and coeffs[-1] == 0 and _annihilates(coeffs[:-1], terms[: d + 25]):
+        coeffs = coeffs[:-1]
+    return RecurrenceSpec(len(coeffs), coeffs), terms
+
+
 def derive_recurrence(space: OperationSpace) -> RecurrenceSpec:
     """Read the recurrence off the monic characteristic polynomial and
     trim trailing zero coefficients while verification still passes."""
-    p = char_poly(adjacency_matrix(space))
-    d = p.degree
-    full = tuple(-p.coefficient(d - i) for i in range(1, d + 1))
-    terms = [count_order_k(space, k) for k in range(1, d + 26)]
-    coeffs = full
-    while len(coeffs) > 1 and coeffs[-1] == 0 and _annihilates(coeffs[:-1], terms):
-        coeffs = coeffs[:-1]
-    return RecurrenceSpec(len(coeffs), coeffs)
+    return _derive(space, 0)[0]
 
 
 def verify_recurrence(record: SequenceRecord, upto_k: int) -> bool:
-    """True iff every k in (order, upto_k] satisfies the recurrence exactly."""
+    """True iff every k in (order, upto_k] satisfies the recurrence exactly;
+    a range with no such k is rejected rather than passed vacuously."""
     if upto_k > len(record.terms):
         raise InsufficientTermsError(
             f"record holds {len(record.terms)} terms, need {upto_k}"
         )
     rec = record.recurrence
+    if upto_k <= rec.order:
+        raise InvalidArgumentError(
+            f"nothing to verify: need upto_k > recurrence order {rec.order}, got {upto_k}"
+        )
     return all(rec.applies(record.terms, k) for k in range(rec.order + 1, upto_k + 1))
 
 
@@ -120,15 +136,15 @@ def make_record(family, n: int, num_terms: int = 30) -> SequenceRecord:
     """Build a sequence record with computed terms and derived recurrence."""
     fam = Family.coerce(family)
     space = build_space(n, fam)
-    terms = tuple(count_order_k(space, k) for k in range(1, num_terms + 1))
-    return SequenceRecord(fam, n, terms, derive_recurrence(space), OEIS_IDS.get((fam, n)))
+    recurrence, terms = _derive(space, num_terms)
+    return SequenceRecord(fam, n, terms[: max(num_terms, 0)], recurrence, OEIS_IDS.get((fam, n)))
 
 
 def recurrence_table(family, n_from: int = 3, n_to: int = 10) -> list[RecurrenceSpec]:
     """Derived recurrences for one family over a dimension range."""
     fam = Family.coerce(family)
-    if n_from < 3 or n_from > n_to:
-        raise InvalidDimensionError(f"need 3 <= n_from <= n_to, got {n_from}..{n_to}")
+    if n_from > n_to:
+        raise InvalidArgumentError(f"empty dimension range {n_from}..{n_to}")
     return [derive_recurrence(build_space(n, fam)) for n in range(n_from, n_to + 1)]
 
 
@@ -170,8 +186,7 @@ def generate_fixture_terms(sequence_id: str, count: int = 40) -> list[int]:
     if not pairs:
         raise FixtureError(f"unknown sequence id {sequence_id!r}")
     fam, n = pairs[0]
-    space = build_space(n, fam)
-    return [count_order_k(space, k) for k in range(1, count + 1)]
+    return list(_counts(build_space(n, fam), count))
 
 
 def default_fixtures_dir() -> Path:

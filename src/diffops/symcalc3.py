@@ -6,10 +6,11 @@ equality against zero is decidable exactly, so the composition
 identities ("curl grad f = 0" and friends) can be checked symbolically
 instead of within a floating-point tolerance.
 
-Every operation here is a constant-coefficient linear differential
-operator of order at most the chain length k, which is why vanishing of
-a whole chain can be decided exactly by applying it to the finitely
-many monomials of degree <= k (see chain_vanishes).
+Every operation here is a homogeneous first-order differential operator
+with constant coefficients, so a chain of length k is homogeneous of
+order k, which is why vanishing of a whole chain can be decided exactly
+by applying it to the finitely many monomials of degree k (see
+chain_vanishes).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import product
 from typing import Iterable, Optional, Union
 
 from .chains import CompositionChain, chain_name
-from .errors import CompositionTypeError, InvalidDirectionError
+from .errors import CompositionTypeError, InvalidArgumentError, InvalidDirectionError
 
 Exponents = tuple[int, int, int]
 
@@ -406,14 +407,17 @@ def _monomials_upto(degree: int) -> list[Exponents]:
 def chain_vanishes(ops: Iterable[int], e: Direction = DEFAULT_DIRECTION) -> bool:
     """Decide exactly whether a chain is the zero operator.
 
-    A chain of length k is a constant-coefficient linear differential
-    operator of order <= k, so it vanishes identically iff it kills every
-    monomial (or monomial basis vector field) of degree <= k.
+    Every operation is a homogeneous first-order operator with constant
+    coefficients, so a chain of length k is a sum of c_b * d^b over the
+    multi-indices |b| = k. It sends every polynomial of degree < k to
+    zero and the monomial x^b with |b| = k to b! c_b, so it vanishes
+    identically iff it kills every monomial (or monomial basis vector
+    field) of degree exactly k.
     """
     t = tuple(ops)
     k = len(t)
     dom = _OP_KINDS[t[-1]][0]
-    for exps in _monomials_upto(k):
+    for exps in (m for m in _monomials_upto(k) if sum(m) == k):
         mono = Poly3.monomial(1, exps)
         if dom == 0:
             basis = [mono]
@@ -495,9 +499,9 @@ def verify_identities(
     third-order composition.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     if max_degree < 2:
-        raise ValueError("max_degree must be >= 2")
+        raise InvalidArgumentError(f"max_degree must be >= 2, got {max_degree}")
     rng = random.Random(seed)
     scalars = [random_poly3(rng, max_degree) for _ in range(trials)]
     vectors = [random_vecfield3(rng, max_degree) for _ in range(trials)]

@@ -59,6 +59,23 @@ class TestCount:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-identities", "--trials", "0"),
+        ("verify-identities", "--degree", "1"),
+        ("enumerate", "--family", "b", "--dim", "3", "--order", "2", "--cap", "-5"),
+        ("table", "--dims", "5..3"),
+        ("recurrence", "--family", "a", "--dim", "6", "--upto", "2"),
+    ],
+)
+def test_out_of_range_arguments_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

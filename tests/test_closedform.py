@@ -1,5 +1,6 @@
 import pytest
 
+from dense_oracle import dense_char_poly
 from diffops.closedform import (
     charpoly_a_closed,
     charpoly_b_closed,
@@ -13,6 +14,12 @@ from diffops.closedform import (
 from diffops.errors import InvalidDimensionError
 from diffops.exactalg import count_order_k
 from diffops.opgraph import build_space
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("n", range(3, 25))
+def test_set_matrix_route_matches_dense_char_poly(n, family):
+    assert charpoly_computed(n, family) == dense_char_poly(build_space(n, family))
 
 
 class TestClosedFormA:

@@ -1,18 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import count_by_matrix_power, per_start_by_matrix_power
+from diffops.chains import per_start_counts
 from diffops.errors import InvalidOrderError
 from diffops.exactalg import (
     IntMatrix,
     IntPolynomial,
     char_poly,
-    count_by_matrix_power,
     count_order_k,
     format_poly,
-    mat_pow,
+    walk_vectors,
 )
 from diffops.opgraph import adjacency_matrix, build_space
+from diffops.sequences import make_record
 
 
 def brute_force_walks(rows, length, src, dst):
@@ -33,20 +37,20 @@ class TestIntMatrix:
 
     def test_pow_zero_is_identity(self):
         M = adjacency_matrix(build_space(3, "A"))
-        assert mat_pow(M, 0) == IntMatrix.identity(3)
+        assert M ** 0 == IntMatrix.identity(3)
 
     def test_pow_one_is_self(self):
         M = adjacency_matrix(build_space(3, "B"))
-        assert mat_pow(M, 1) == M
+        assert M ** 1 == M
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            mat_pow(IntMatrix.identity(2), -1)
+            IntMatrix.identity(2) ** -1
 
     @pytest.mark.parametrize("family,n", [("A", 3), ("B", 3), ("A", 4)])
     def test_square_counts_two_step_walks(self, family, n):
         M = adjacency_matrix(build_space(n, family))
-        sq = mat_pow(M, 2)
+        sq = M ** 2
         for i in range(M.order):
             for j in range(M.order):
                 assert sq.rows[i][j] == brute_force_walks(M.rows, 2, i, j)
@@ -55,12 +59,8 @@ class TestIntMatrix:
         M = adjacency_matrix(build_space(5, "B"))
         acc = IntMatrix.identity(M.order)
         for e in range(9):
-            assert mat_pow(M, e) == acc
+            assert M ** e == acc
             acc = acc * M
-
-    def test_permutation_validation(self):
-        with pytest.raises(ValueError):
-            IntMatrix.identity(3).permuted([0, 0, 1])
 
 
 class TestCounts:
@@ -81,6 +81,8 @@ class TestCounts:
     def test_order_below_one_rejected(self):
         with pytest.raises(InvalidOrderError):
             count_order_k(build_space(3, "A"), 0)
+        with pytest.raises(InvalidOrderError):
+            next(walk_vectors(build_space(3, "A"), 0))
 
     @pytest.mark.parametrize("family", ["A", "B"])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -88,6 +90,20 @@ class TestCounts:
         space = build_space(n, family)
         for k in range(1, 12):
             assert count_order_k(space, k) == count_by_matrix_power(space, k)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        family=st.sampled_from(["A", "B"]),
+        n=st.integers(min_value=3, max_value=12),
+        k=st.integers(min_value=1, max_value=40),
+    )
+    def test_every_kernel_caller_matches_dense_matrix_power(self, family, n, k):
+        space = build_space(n, family)
+        per_start = per_start_by_matrix_power(space, k)
+        total = sum(per_start.values())
+        assert per_start_counts(space, k).counts == per_start
+        assert count_order_k(space, k) == total
+        assert make_record(family, n, k).terms[-1] == total
 
     def test_counts_positive_everywhere_tested(self):
         for family in ("A", "B"):
@@ -129,10 +145,11 @@ class TestCharPoly:
     def test_cayley_hamilton(self, family, n):
         M = adjacency_matrix(build_space(n, family))
         p = char_poly(M)
-        acc = IntMatrix.zero(M.order)
+        zero = IntMatrix([[0] * M.order for _ in range(M.order)])
+        acc = zero
         for exp in range(p.degree + 1):
-            acc = acc + mat_pow(M, exp) * p.coefficient(exp)
-        assert acc.is_zero()
+            acc = acc + M ** exp * p.coefficient(exp)
+        assert acc == zero
 
     def test_invariant_under_permutation_similarity(self):
         rng = random.Random(20240601)
@@ -143,7 +160,11 @@ class TestCharPoly:
                 for _ in range(5):
                     perm = list(range(M.order))
                     rng.shuffle(perm)
-                    assert char_poly(M.permuted(perm)) == p
+                    permuted = IntMatrix(
+                        [M.rows[perm[i]][perm[j]] for j in range(M.order)]
+                        for i in range(M.order)
+                    )
+                    assert char_poly(permuted) == p
 
 
 class TestIntPolynomial:

@@ -9,7 +9,6 @@ from diffops.opgraph import (
     adjacency_matrix,
     build_space,
     cayley_table,
-    in_composition,
 )
 
 
@@ -57,15 +56,15 @@ class TestBuildSpace:
 class TestRelation:
     def test_div_after_grad_is_meaningful(self):
         rel = CompositionRelation(Family.A, 3)
-        assert in_composition(rel, 1, 3)
+        assert rel.holds(1, 3)
 
     def test_repeated_directional_derivative_is_meaningful(self):
         rel = CompositionRelation(Family.B, 3)
-        assert in_composition(rel, 0, 0)
+        assert rel.holds(0, 0)
 
     def test_grad_after_grad_is_not(self):
         rel = CompositionRelation(Family.A, 3)
-        assert not in_composition(rel, 1, 1)
+        assert not rel.holds(1, 1)
 
     def test_index_zero_invalid_in_family_a(self):
         rel = CompositionRelation(Family.A, 3)
@@ -121,7 +120,8 @@ class TestAdjacency:
         )
 
     def test_b3_every_row_sum_is_two(self):
-        assert adjacency_matrix(build_space(3, "B")).row_sums() == (2, 2, 2, 2)
+        rows = adjacency_matrix(build_space(3, "B")).rows
+        assert [sum(row) for row in rows] == [2, 2, 2, 2]
 
     def test_orders(self):
         assert adjacency_matrix(build_space(7, "A")).order == 7

@@ -1,6 +1,6 @@
 import pytest
 
-from diffops.errors import FixtureError, InsufficientTermsError
+from diffops.errors import FixtureError, InsufficientTermsError, InvalidArgumentError
 from diffops.exactalg import count_order_k
 from diffops.opgraph import Family, build_space
 from diffops import sequences
@@ -91,6 +91,13 @@ class TestVerifyRecurrence:
         record = make_record("A", 3, 10)
         with pytest.raises(InsufficientTermsError):
             verify_recurrence(record, 11)
+
+    @pytest.mark.parametrize("upto", [0, 2, 4])
+    def test_range_with_nothing_to_check_rejected(self, upto):
+        record = make_record("A", 6, 10)
+        assert record.recurrence.order == 4
+        with pytest.raises(InvalidArgumentError):
+            verify_recurrence(record, upto)
 
 
 class TestTable:
