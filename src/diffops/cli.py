@@ -19,12 +19,9 @@ from .closedform import closed_form_result
 from .errors import (
     DiffOpsError,
     EnumerationCapError,
-    InsufficientTermsError,
     InvalidArgumentError,
-    InvalidDimensionError,
-    InvalidDirectionError,
     InvalidOperationError,
-    InvalidOrderError,
+    UsageError,
 )
 from .exactalg import format_poly
 from .opgraph import Family, build_space
@@ -39,15 +36,6 @@ from .sequences import (
     verify_recurrence,
 )
 from .symcalc3 import fill_vanishing, verify_identities
-
-_USAGE_ERRORS = (
-    InvalidArgumentError,
-    InvalidDimensionError,
-    InvalidOperationError,
-    InvalidOrderError,
-    InvalidDirectionError,
-    InsufficientTermsError,
-)
 
 
 def _family(value: str) -> Family:
@@ -99,14 +87,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.mark_zeros and args.dim != 3:
+        raise InvalidOperationError("zero marking is only available for dimension 3")
     space = build_space(args.dim, args.family)
     if args.format == "dot":
         sys.stdout.write(export_tree_dot(space, args.order, args.cap))
         return 0
     chains = enumerate_chains(space, args.order, args.cap)
     if args.mark_zeros:
-        if args.dim != 3:
-            raise InvalidOperationError("zero marking is only available for dimension 3")
         chains = fill_vanishing(chains)
     if args.format == "json":
         _emit_json(
@@ -389,7 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationCapError as exc:

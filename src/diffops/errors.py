@@ -5,23 +5,27 @@ class DiffOpsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidDimensionError(DiffOpsError, ValueError):
+class UsageError(DiffOpsError, ValueError):
+    """Invalid input from the caller; the CLI reports it with exit code 2."""
+
+
+class InvalidDimensionError(UsageError):
     """Dimension outside the supported range (n >= 3, plus per-check base cases)."""
 
 
-class InvalidOperationError(DiffOpsError, ValueError):
+class InvalidOperationError(UsageError):
     """Operation index not valid for the requested family."""
 
 
-class InvalidOrderError(DiffOpsError, ValueError):
+class InvalidOrderError(UsageError):
     """Composition order k must be >= 1."""
 
 
-class InvalidDirectionError(DiffOpsError, ValueError):
+class InvalidDirectionError(UsageError):
     """Direction vector rejected (zero, or not unit length in strict mode)."""
 
 
-class InvalidArgumentError(DiffOpsError, ValueError):
+class InvalidArgumentError(UsageError):
     """Any other parameter outside its valid range (cap, range, trials, ...)."""
 
 
@@ -42,7 +46,7 @@ class ComputationError(DiffOpsError):
     """Internal exactness violation; indicates a bug, never user input."""
 
 
-class InsufficientTermsError(DiffOpsError, ValueError):
+class InsufficientTermsError(UsageError):
     """A sequence record does not hold enough terms for the requested check."""
 
 

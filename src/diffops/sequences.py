@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
-from urllib.request import Request, urlopen
 
 from .errors import FixtureError, InsufficientTermsError, InvalidArgumentError
 from .exactalg import walk_char_poly, walk_vectors
@@ -253,6 +252,9 @@ def fetch_oeis_terms(sequence_id: str, timeout: float = 5.0) -> list[int]:
 
     Raises on any network or format problem; callers fall back to fixtures.
     """
+    # imported here so that http.client, email and ssl load only for a fetch
+    from urllib.request import Request, urlopen
+
     url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
     req = Request(url, headers={"User-Agent": "diffops/0.1"})
     with urlopen(req, timeout=timeout) as resp:

@@ -7,10 +7,10 @@ identities ("curl grad f = 0" and friends) can be checked symbolically
 instead of within a floating-point tolerance.
 
 Every operation here is a homogeneous first-order differential operator
-with constant coefficients, so a chain of length k is homogeneous of
-order k, which is why vanishing of a whole chain can be decided exactly
-by applying it to the finitely many monomials of degree k (see
-chain_vanishes).
+with constant coefficients, so a chain is the zero operator exactly when
+the product of its principal symbols is the zero polynomial matrix. Those
+products settle every order at once: a meaningful chain vanishes iff it
+contains curl grad or div curl (see chain_vanishes).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Union
 
 from .chains import CompositionChain, chain_name
 from .errors import CompositionTypeError, InvalidArgumentError, InvalidDirectionError
+from .opgraph import Family, build_space
 
 Exponents = tuple[int, int, int]
 
@@ -67,10 +68,6 @@ class Poly3:
         exps = [0, 0, 0]
         exps[i] = 1
         return cls({tuple(exps): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, coeff, exps: Exponents) -> "Poly3":
-        return cls({tuple(exps): Fraction(coeff)})
 
     @property
     def is_zero(self) -> bool:
@@ -288,8 +285,8 @@ def laplacian_direct(f: Poly3) -> Poly3:
     return Poly3(out)
 
 
-# Kind signatures of the four R^3 operations (scalar = set 0, vector = set 1).
-_OP_KINDS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
+# Domain and codomain set of each R^3 operation (scalar = set 0, vector = set 1).
+_SIGNATURES = build_space(3, Family.B).signatures
 
 
 def _kind_of(field: Field) -> int:
@@ -298,6 +295,24 @@ def _kind_of(field: Field) -> int:
     if isinstance(field, VecField3):
         return 1
     raise CompositionTypeError(f"not a field: {field!r}")
+
+
+def _check_chain(ops: tuple[int, ...], kind: Optional[int] = None) -> None:
+    """Raise CompositionTypeError at the first step where ops, applied
+    right-to-left to a field of the given kind (default: the domain of the
+    first-applied operation), stops being a meaningful R^3 chain."""
+    if not ops:
+        raise CompositionTypeError("empty chain")
+    for i in reversed(ops):
+        if i not in _SIGNATURES:
+            raise CompositionTypeError(f"operation index {i} is not an R^3 operation")
+        dom, cod = _SIGNATURES[i]
+        if kind is not None and kind != dom:
+            name = "scalar" if dom == 0 else "vector"
+            raise CompositionTypeError(
+                f"operation {i} needs a {name} field; composition not meaningful"
+            )
+        kind = cod
 
 
 def _apply_op(i: int, field: Field, e: Optional[Direction]) -> Field:
@@ -309,33 +324,22 @@ def _apply_op(i: int, field: Field, e: Optional[Direction]) -> Field:
         return grad(field)
     if i == 2:
         return curl(field)
-    if i == 3:
-        return div(field)
-    raise CompositionTypeError(f"operation index {i} is not an R^3 operation")
+    return div(field)
 
 
 def compose_and_check(
     chain, field: Field, e: Optional[Direction] = None
 ) -> Field:
-    """Apply a chain right-to-left, checking the field kind at every step.
+    """Apply a chain right-to-left after checking the field kind at every step.
 
     The kind check is exactly the meaningfulness criterion, so a chain
     that the composition relation rejects fails here with a type error
     at the first mismatched step.
     """
     ops = chain.ops if isinstance(chain, CompositionChain) else tuple(chain)
-    if not ops:
-        raise CompositionTypeError("empty chain")
+    _check_chain(ops, _kind_of(field))
     current = field
     for i in reversed(ops):
-        if i not in _OP_KINDS:
-            raise CompositionTypeError(f"operation index {i} is not an R^3 operation")
-        dom, _ = _OP_KINDS[i]
-        if _kind_of(current) != dom:
-            kind = "scalar" if dom == 0 else "vector"
-            raise CompositionTypeError(
-                f"operation {i} needs a {kind} field; composition not meaningful"
-            )
         current = _apply_op(i, current, e)
     return current
 
@@ -344,8 +348,9 @@ def compose_and_check(
 # Identity verification
 # ---------------------------------------------------------------------------
 
-# Deduplicated compositions that are identically zero on R^3 (leftmost-first),
-# and the meaningful compositions of orders 2 and 3 that are not.
+# The meaningful B3 compositions of orders 2 and 3 (leftmost-first), split
+# into those that are identically zero on R^3 and those that are not. The
+# identity report lists them in this order.
 ZERO_CHAINS: tuple[tuple[int, ...], ...] = (
     (2, 1),
     (3, 2),
@@ -380,15 +385,16 @@ NONZERO_CHAINS: tuple[tuple[int, ...], ...] = (
 def make_chain(ops: Iterable[int]) -> CompositionChain:
     """CompositionChain for an R^3 index sequence, with its signature."""
     t = tuple(ops)
-    return CompositionChain(t, (_OP_KINDS[t[-1]][0], _OP_KINDS[t[0]][1]))
+    return CompositionChain(t, (_SIGNATURES[t[-1]][0], _SIGNATURES[t[0]][1]))
 
 
 def random_poly3(rng: random.Random, max_degree: int) -> Poly3:
     """Seed-reproducible polynomial: coefficients are rationals with
     numerators in -9..9 and denominators in {1, 2, 3}."""
     terms = {}
-    for exps in sorted(_monomials_upto(max_degree)):
-        terms[exps] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+    for exps in product(range(max_degree + 1), repeat=3):
+        if sum(exps) <= max_degree:
+            terms[exps] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
     return Poly3(terms)
 
 
@@ -396,45 +402,38 @@ def random_vecfield3(rng: random.Random, max_degree: int) -> VecField3:
     return VecField3(*(random_poly3(rng, max_degree) for _ in range(3)))
 
 
-def _monomials_upto(degree: int) -> list[Exponents]:
-    return [
-        (a, b, c)
-        for a, b, c in product(range(degree + 1), repeat=3)
-        if a + b + c <= degree
-    ]
+# The adjacent pairs that kill a chain: curl grad and div curl.
+_ZERO_PAIRS = frozenset(ops for ops in ZERO_CHAINS if len(ops) == 2)
 
 
-def chain_vanishes(ops: Iterable[int], e: Direction = DEFAULT_DIRECTION) -> bool:
-    """Decide exactly whether a chain is the zero operator.
+def chain_vanishes(ops: Iterable[int]) -> bool:
+    """Decide exactly whether a meaningful R^3 chain is the zero operator:
+    it is iff it contains curl grad (2, 1) or div curl (3, 2).
 
     Every operation is a homogeneous first-order operator with constant
-    coefficients, so a chain of length k is a sum of c_b * d^b over the
-    multi-indices |b| = k. It sends every polynomial of degree < k to
-    zero and the monomial x^b with |b| = k to b! c_b, so it vanishes
-    identically iff it kills every monomial (or monomial basis vector
-    field) of degree exactly k.
+    coefficients, so a chain is zero iff the product of the principal
+    symbols is zero over Q[ξ], an integral domain. The symbols are
+    grad -> ξ, curl -> [ξ]×, div -> ξᵀ and D_e -> e·ξ.
+
+    - [ξ]× ξ = 0 and ξᵀ [ξ]× = 0, so a chain containing either pair
+      is zero.
+    - Without those pairs only curl can sit next to curl, so a chain
+      containing curl is curlᵏ, which is not zero:
+      ([ξ]×)² = ξξᵀ - |ξ|² I and ([ξ]×)³ = -|ξ|² [ξ]×.
+    - A chain without curl multiplies ξ, ξᵀ and e·ξ. The product is a
+      nonzero polynomial times 1, ξ, ξᵀ or ξξᵀ, so it is not zero for
+      any nonzero direction e, which therefore cannot change the answer.
+
+    Raises CompositionTypeError for a chain that is not meaningful.
     """
     t = tuple(ops)
-    k = len(t)
-    dom = _OP_KINDS[t[-1]][0]
-    for exps in (m for m in _monomials_upto(k) if sum(m) == k):
-        mono = Poly3.monomial(1, exps)
-        if dom == 0:
-            basis = [mono]
-        else:
-            z = Poly3.zero()
-            basis = [VecField3(mono, z, z), VecField3(z, mono, z), VecField3(z, z, mono)]
-        for field in basis:
-            if not compose_and_check(t, field, e).is_zero:
-                return False
-    return True
+    _check_chain(t)
+    return any(pair in _ZERO_PAIRS for pair in zip(t, t[1:]))
 
 
-def fill_vanishing(
-    chains: Iterable[CompositionChain], e: Direction = DEFAULT_DIRECTION
-) -> list[CompositionChain]:
+def fill_vanishing(chains: Iterable[CompositionChain]) -> list[CompositionChain]:
     """Annotate R^3 chains with their exact vanishes_identically flag."""
-    return [replace(c, vanishes_identically=chain_vanishes(c.ops, e)) for c in chains]
+    return [replace(c, vanishes_identically=chain_vanishes(c.ops)) for c in chains]
 
 
 @dataclass(frozen=True)
@@ -500,14 +499,14 @@ def verify_identities(
     """
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
-    if max_degree < 2:
-        raise InvalidArgumentError(f"max_degree must be >= 2, got {max_degree}")
+    if max_degree < 3:
+        raise InvalidArgumentError(f"max_degree must be >= 3, got {max_degree}")
     rng = random.Random(seed)
     scalars = [random_poly3(rng, max_degree) for _ in range(trials)]
     vectors = [random_vecfield3(rng, max_degree) for _ in range(trials)]
 
     def fields_for(ops):
-        return scalars if _OP_KINDS[ops[-1]][0] == 0 else vectors
+        return scalars if _SIGNATURES[ops[-1]][0] == 0 else vectors
 
     zero_checks = []
     for ops in ZERO_CHAINS:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diffops
 from diffops.cli import main
 
 
@@ -67,6 +72,8 @@ class TestCount:
         ("enumerate", "--family", "b", "--dim", "3", "--order", "2", "--cap", "-5"),
         ("table", "--dims", "5..3"),
         ("recurrence", "--family", "a", "--dim", "6", "--upto", "2"),
+        ("enumerate", "--family", "b", "--dim", "4", "--order", "30", "--mark-zeros"),
+        ("verify-identities", "--trials", "25", "--degree", "2"),
     ],
 )
 def test_out_of_range_arguments_exit_2_with_one_error_line(capsys, argv):
@@ -74,6 +81,15 @@ def test_out_of_range_arguments_exit_2_with_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_import_leaves_the_network_stack_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(diffops.__file__).parents[1]))
+    probe = "import sys, diffops.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestDeterminism:

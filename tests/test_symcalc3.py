@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffops.chains import enumerate_chains
-from diffops.errors import CompositionTypeError, InvalidDirectionError
+from diffops.errors import CompositionTypeError, InvalidArgumentError, InvalidDirectionError
 from diffops.opgraph import build_space
 from diffops.symcalc3 import (
     DEFAULT_DIRECTION,
@@ -30,6 +31,31 @@ from diffops.symcalc3 import (
 )
 
 X1, X2, X3 = (Poly3.variable(i) for i in range(3))
+
+
+def sweep_vanishes(ops, e):
+    """Oracle for chain_vanishes: apply the chain to every monomial of degree
+    k (times each basis vector when the input is a vector field).
+
+    Each operation is a homogeneous first-order operator with constant
+    coefficients, so a chain of length k is a sum of c_b * d^b over the
+    multi-indices |b| = k. It sends the monomial x^b with |b| = k to b! c_b,
+    so it vanishes identically iff it kills every one of them.
+    """
+    t = tuple(ops)
+    k = len(t)
+    vector_input = make_chain(t).signature[0] == 1
+    for exps in product(range(k + 1), repeat=3):
+        if sum(exps) != k:
+            continue
+        mono, z = Poly3({exps: 1}), Poly3.zero()
+        if vector_input:
+            basis = [VecField3(mono, z, z), VecField3(z, mono, z), VecField3(z, z, mono)]
+        else:
+            basis = [mono]
+        if any(not compose_and_check(t, field, e).is_zero for field in basis):
+            return False
+    return True
 
 
 def coeffs(**kw):
@@ -238,6 +264,9 @@ class TestIdentityReport:
             verify_identities(trials=0)
         with pytest.raises(ValueError):
             verify_identities(max_degree=1)
+        # degree-2 fields cannot witness a third-order composition
+        with pytest.raises(InvalidArgumentError):
+            verify_identities(max_degree=2)
 
     def test_laplacian_witness(self):
         assert compose_and_check((3, 1), X1 * X1) == Poly3.constant(2)
@@ -280,6 +309,64 @@ class TestVanishingDecision:
             (1, 3, 2),
             (2, 1, 3),
         }
+
+    @pytest.mark.parametrize(
+        "e",
+        [DEFAULT_DIRECTION, direction(Fraction(2, 7), Fraction(3, 7), Fraction(6, 7))],
+        ids=["e_340_over_5", "e_236_over_7"],
+    )
+    def test_pair_rule_matches_monomial_sweep(self, e):
+        for k in range(1, 6):
+            chains = {
+                c.ops for fam in ("A", "B") for c in enumerate_chains(build_space(3, fam), k)
+            }
+            for ops in sorted(chains):
+                assert chain_vanishes(ops) == sweep_vanishes(ops, e), ops
+
+    def test_tables_are_the_order_2_and_3_partition(self):
+        space = build_space(3, "B")
+        chains = [c.ops for k in (2, 3) for c in enumerate_chains(space, k)]
+        assert sorted(ZERO_CHAINS + NONZERO_CHAINS) == sorted(chains)
+        assert sorted(ops for ops in chains if chain_vanishes(ops)) == sorted(ZERO_CHAINS)
+
+    @pytest.mark.parametrize("ops", [(), (7,), (1, 1)])
+    def test_chain_that_is_not_meaningful_raises(self, ops):
+        with pytest.raises(CompositionTypeError):
+            chain_vanishes(ops)
+
+
+class TestSympyOracle:
+    def test_chain_vanishes_matches_generic_fields(self):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1:4")
+        e = [sympy.Rational(c) for c in DEFAULT_DIRECTION.e]
+
+        def apply(i, field):
+            if i == 0:
+                return sum(c * sympy.diff(field, x) for c, x in zip(e, xs))
+            if i == 1:
+                return [sympy.diff(field, x) for x in xs]
+            if i == 2:
+                f1, f2, f3 = field
+                x1, x2, x3 = xs
+                return [
+                    sympy.diff(f3, x2) - sympy.diff(f2, x3),
+                    sympy.diff(f1, x3) - sympy.diff(f3, x1),
+                    sympy.diff(f2, x1) - sympy.diff(f1, x2),
+                ]
+            return sum(sympy.diff(f, x) for f, x in zip(field, xs))
+
+        scalar = sympy.Function("f")(*xs)
+        vector = [sympy.Function(f"F{j}")(*xs) for j in (1, 2, 3)]
+        space = build_space(3, "B")
+        for k in (1, 2, 3):
+            for chain in enumerate_chains(space, k):
+                field = scalar if chain.signature[0] == 0 else vector
+                for i in reversed(chain.ops):
+                    field = apply(i, field)
+                parts = field if isinstance(field, list) else [field]
+                is_zero = all(sympy.expand(p) == 0 for p in parts)
+                assert chain_vanishes(chain.ops) == is_zero, chain.ops
 
 
 class TestLaplacianConsistency:
