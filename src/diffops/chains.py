@@ -63,10 +63,16 @@ class ChainTreeNode:
 
 
 def is_meaningful(space: OperationSpace, ops: tuple[int, ...]) -> bool:
-    """Check every adjacent pair of a leftmost-first index sequence."""
+    """Check every adjacent pair of a leftmost-first index sequence.
+
+    Raises InvalidOperationError for an index outside the space, at every
+    length.
+    """
     if not ops:
         return False
     rel = space.relation
+    for i in ops:
+        rel.check_op(i)
     applied = tuple(reversed(ops))
     return all(rel.holds(applied[t], applied[t + 1]) for t in range(len(applied) - 1))
 

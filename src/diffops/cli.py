@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 internal error (including a failed verification
-report), 2 invalid arguments, 3 enumeration cap exceeded. Big integers
+report), 2 invalid arguments, 3 a cap exceeded (the enumeration cap, or the
+interpreter's limit on the decimal digits of a printed integer). Big integers
 are serialized as decimal strings in JSON so exactness survives beyond
 double-precision range; identical flags (including the seed) always
 produce byte-identical output.
@@ -17,8 +18,9 @@ import sys
 from .chains import DEFAULT_CAP, chain_name, enumerate_chains, export_tree_dot, per_start_counts
 from .closedform import closed_form_result
 from .errors import (
+    CapError,
     DiffOpsError,
-    EnumerationCapError,
+    DigitLimitError,
     InvalidArgumentError,
     InvalidOperationError,
     UsageError,
@@ -67,6 +69,11 @@ def _count_symbol(family: Family) -> str:
 def cmd_count(args) -> int:
     space = build_space(args.dim, args.family)
     ps = per_start_counts(space, args.order)
+    # Per-start counts never exceed the total, so checking it covers them.
+    # A limit of 0, or an interpreter older than 3.10.7, means no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and ps.total >= 10**limit:
+        raise DigitLimitError(f"the count at order {args.order}", limit)
     payload = {
         "command": "count",
         "family": space.family.value,
@@ -89,6 +96,8 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.mark_zeros and args.dim != 3:
         raise InvalidOperationError("zero marking is only available for dimension 3")
+    if args.mark_zeros and args.format == "dot":
+        raise InvalidArgumentError("zero marking is not available for DOT output")
     space = build_space(args.dim, args.family)
     if args.format == "dot":
         sys.stdout.write(export_tree_dot(space, args.order, args.cap))
@@ -380,7 +389,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EnumerationCapError as exc:
+    except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DiffOpsError as exc:

@@ -33,13 +33,29 @@ class CompositionTypeError(DiffOpsError, TypeError):
     """Field kind (scalar vs vector) does not match the chain being applied."""
 
 
-class EnumerationCapError(DiffOpsError):
+class CapError(DiffOpsError):
+    """A request whose result exceeds a fixed limit; the CLI reports it with exit code 3."""
+
+
+class EnumerationCapError(CapError):
     """Requested enumeration would exceed the configured chain cap."""
 
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
         super().__init__(f"enumeration of {count} chains exceeds cap {cap}")
+
+
+class DigitLimitError(CapError):
+    """A result has more decimal digits than the interpreter converts to text
+    (sys.get_int_max_str_digits())."""
+
+    def __init__(self, what: str, limit: int):
+        self.limit = limit
+        super().__init__(
+            f"{what} has more than {limit} decimal digits, the interpreter's "
+            "limit for integer-to-text conversion"
+        )
 
 
 class ComputationError(DiffOpsError):

@@ -52,7 +52,7 @@ class CompositionRelation:
         first = 0 if self.family is Family.B else 1
         return tuple(range(first, self.n + 1))
 
-    def _check_op(self, idx: int) -> None:
+    def check_op(self, idx: int) -> None:
         if idx == 0 and self.family is Family.A:
             raise InvalidOperationError("operation 0 exists only in family B")
         lo = 0 if self.family is Family.B else 1
@@ -62,8 +62,8 @@ class CompositionRelation:
             )
 
     def holds(self, i: int, j: int) -> bool:
-        self._check_op(i)
-        self._check_op(j)
+        self.check_op(i)
+        self.check_op(j)
         if j == i + 1 or i + j == self.n + 1:
             return True
         if self.family is Family.B:

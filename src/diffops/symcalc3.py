@@ -50,6 +50,15 @@ class Poly3:
                     del clean[e]
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, terms: dict[Exponents, Fraction]) -> "Poly3":
+        """Wrap a term map that is already clean: unique triples of
+        non-negative ints mapped to nonzero Fractions. Nothing is checked
+        or copied; every result the calculus builds comes through here."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly3 is immutable")
 
@@ -83,44 +92,48 @@ class Poly3:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return Poly3(merged)
+        return Poly3._of(_merge(self.terms, other.terms, 1))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly3":
-        return Poly3({e: -c for e, c in self.terms.items()})
+        return Poly3._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return Poly3._of(_merge(self.terms, other.terms, -1))
 
     def __rsub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return Poly3._of(_merge(other.terms, self.terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly3({e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Poly3._of({})
+            return Poly3._of({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Poly3):
             return NotImplemented
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly3(out)
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return Poly3._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def diff(self, i: int) -> "Poly3":
-        """Exact partial derivative with respect to variable i (0-based)."""
+        """Exact partial derivative with respect to variable i (0-based).
+
+        Lowering exponent i is injective on the terms it keeps, and each
+        coefficient c * e[i] stays nonzero, so the result is already clean.
+        """
         out: dict[Exponents, Fraction] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
@@ -128,7 +141,7 @@ class Poly3:
             d = list(e)
             d[i] -= 1
             out[tuple(d)] = c * e[i]
-        return Poly3(out)
+        return Poly3._of(out)
 
     def evaluate(self, point) -> Fraction:
         p = tuple(Fraction(x) for x in point)
@@ -156,6 +169,25 @@ class Poly3:
 
     def __repr__(self) -> str:
         return f"Poly3({self.terms!r})"
+
+
+def _merge(
+    left: dict[Exponents, Fraction], right: dict[Exponents, Fraction], sign: int
+) -> dict[Exponents, Fraction]:
+    """Clean term map of left + sign * right (sign is 1 or -1); terms that
+    cancel are dropped."""
+    out = dict(left)
+    for e, c in right.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c if sign > 0 else -c
+        else:
+            s = s + c if sign > 0 else s - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 def _as_poly(value) -> Optional[Poly3]:
@@ -391,11 +423,13 @@ def make_chain(ops: Iterable[int]) -> CompositionChain:
 def random_poly3(rng: random.Random, max_degree: int) -> Poly3:
     """Seed-reproducible polynomial: coefficients are rationals with
     numerators in -9..9 and denominators in {1, 2, 3}."""
-    terms = {}
+    terms: dict[Exponents, Fraction] = {}
     for exps in product(range(max_degree + 1), repeat=3):
         if sum(exps) <= max_degree:
-            terms[exps] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
-    return Poly3(terms)
+            num, den = rng.randint(-9, 9), rng.choice((1, 2, 3))
+            if num:
+                terms[exps] = Fraction(num, den)
+    return Poly3._of(terms)
 
 
 def random_vecfield3(rng: random.Random, max_degree: int) -> VecField3:

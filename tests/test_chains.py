@@ -13,7 +13,7 @@ from diffops.chains import (
     per_start_counts,
 )
 from diffops.opgraph import ROOT_OP
-from diffops.errors import EnumerationCapError, InvalidOrderError
+from diffops.errors import EnumerationCapError, InvalidOperationError, InvalidOrderError
 from diffops.exactalg import count_order_k
 from diffops.opgraph import build_space
 
@@ -104,6 +104,15 @@ class TestEnumerationMechanics:
             enumerated = ops_set(enumerate_chains(space, k))
             for seq in product(space.ops, repeat=k):
                 assert (seq in enumerated) == is_meaningful(space, seq)
+
+    @pytest.mark.parametrize("ops", [(7,), (0,), (7, 7), (1, 7), (-1,)])
+    def test_unknown_index_raises_at_every_length(self, ops):
+        with pytest.raises(InvalidOperationError):
+            is_meaningful(build_space(3, "A"), ops)
+
+    def test_single_operations_are_meaningful(self):
+        assert is_meaningful(build_space(3, "B"), (0,))
+        assert all(is_meaningful(build_space(3, "A"), (i,)) for i in (1, 2, 3))
 
     def test_cap_exceeded_names_the_count(self):
         with pytest.raises(EnumerationCapError) as err:

@@ -58,6 +58,37 @@ class TestCount:
         code, _, err = run(capsys, "count", "--family", "a", "--dim", "3", "--order", "0")
         assert code == 2
 
+    @pytest.fixture
+    def digit_limit(self):
+        """Pin the int-to-str digit limit at its 4300 default for one test."""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(saved)
+
+    # g(k) = 2^(k+1) on B3: order 14283 has 4300 digits, order 14284 has 4301.
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_digit_limit_boundary(self, capsys, digit_limit, fmt):
+        argv = ("count", "--family", "b", "--dim", "3", "--per-start", "--format", fmt)
+        code, out, err = run(capsys, *argv, "--order", "14283")
+        assert code == 0 and err == ""
+        assert str(2**14284) in out and len(str(2**14284)) == digit_limit
+        code, out, err = run(capsys, *argv, "--order", "14284")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4300 decimal digits" in err
+
+    def test_digit_limit_exit_3_without_traceback(self, capsys, digit_limit):
+        code, out, err = run(capsys, "count", "--family", "b", "--dim", "3", "--order", "50000")
+        assert (code, out, err.count("\n")) == (3, "", 1)
+
+    def test_zero_digit_limit_means_no_limit(self, capsys, digit_limit):
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run(capsys, "count", "--family", "b", "--dim", "3", "--order", "14284")
+        assert code == 0
+        assert out == f"{2**14285}\n"
+
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--family", "z", "--dim", "3", "--order", "1"])
@@ -74,6 +105,8 @@ class TestCount:
         ("recurrence", "--family", "a", "--dim", "6", "--upto", "2"),
         ("enumerate", "--family", "b", "--dim", "4", "--order", "30", "--mark-zeros"),
         ("verify-identities", "--trials", "25", "--degree", "2"),
+        ("enumerate", "--family", "b", "--dim", "3", "--order", "2", "--mark-zeros",
+         "--format", "dot"),
     ],
 )
 def test_out_of_range_arguments_exit_2_with_one_error_line(capsys, argv):

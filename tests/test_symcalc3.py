@@ -115,6 +115,114 @@ class TestPoly3:
             assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
 
 
+def assert_clean(p):
+    """p holds exactly the term map the validating constructor makes of it:
+    triples of non-negative ints mapped to nonzero Fractions."""
+    assert isinstance(p, Poly3)
+    assert Poly3(dict(p.terms)) == p
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == 3
+        assert all(type(x) is int and x >= 0 for x in e)
+        assert type(c) is Fraction and c != 0
+
+
+def reference_random_poly3(rng, max_degree):
+    """random_poly3 through the validating constructor: the same draws in
+    the same order, zero coefficients included."""
+    terms = {}
+    for exps in product(range(max_degree + 1), repeat=3):
+        if sum(exps) <= max_degree:
+            terms[exps] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+    return Poly3(terms)
+
+
+def reference_sum(p, q, sign=1):
+    keys = set(p.terms) | set(q.terms)
+    return Poly3({e: p.terms.get(e, 0) + sign * q.terms.get(e, 0) for e in keys})
+
+
+def reference_product(p, q):
+    out = {}
+    for (a, c), (b, d) in product(p.terms.items(), q.terms.items()):
+        e = tuple(x + y for x, y in zip(a, b))
+        out[e] = out.get(e, 0) + c * d
+    return Poly3(out)
+
+
+def reference_diff(p, i):
+    out = {}
+    for e, c in p.terms.items():
+        d = list(e)
+        d[i] -= 1
+        if d[i] >= 0:
+            out[tuple(d)] = c * e[i]
+    return Poly3(out)
+
+
+class TestCleanResults:
+    """Results of the calculus skip the validating constructor; each must
+    hold a clean term map and equal a reference built through it."""
+
+    def check_all(self, f, g):
+        results = {
+            "f + g": (f + g, reference_sum(f, g)),
+            "f - g": (f - g, reference_sum(f, g, -1)),
+            "g - f": (g - f, reference_sum(g, f, -1)),
+            "-f": (-f, reference_sum(Poly3.zero(), f, -1)),
+            "3 - f": (3 - f, reference_sum(Poly3.constant(3), f, -1)),
+            "f + 1": (f + 1, reference_sum(f, Poly3.constant(1))),
+            "f * 3": (f * 3, reference_product(f, Poly3.constant(3))),
+            "f * -2/3": (f * Fraction(-2, 3), reference_product(f, Poly3.constant(Fraction(-2, 3)))),
+            "0 * f": (0 * f, Poly3.zero()),
+            "f * g": (f * g, reference_product(f, g)),
+            "f - f": (f - f, Poly3.zero()),
+            "f + (-f)": (f + (-f), Poly3.zero()),
+        }
+        for i in range(3):
+            results[f"d{i} f"] = (f.diff(i), reference_diff(f, i))
+        field = VecField3(f, g, f * g)
+        results["F . e"] = (
+            field.dot(DEFAULT_DIRECTION.e),
+            reference_sum(
+                reference_sum(f * DEFAULT_DIRECTION.e[0], g * DEFAULT_DIRECTION.e[1]),
+                reference_product(f, g) * DEFAULT_DIRECTION.e[2],
+            ),
+        )
+        for name, (got, want) in results.items():
+            assert_clean(got)
+            assert got == want, name
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_random_polynomials(self, seed):
+        rng = random.Random(seed)
+        f, g = random_poly3(rng, 4), random_poly3(rng, 3)
+        self.check_all(f, g)
+        # g shares and cancels part of f's terms
+        half = Poly3({e: -c for i, (e, c) in enumerate(f.terms.items()) if i % 2})
+        self.check_all(f, half)
+
+    @settings(max_examples=80, derandomize=True)
+    @given(f=polys, g=polys)
+    def test_small_polynomials(self, f, g):
+        self.check_all(f, g)
+
+    def test_cancellation_gives_the_zero_polynomial(self):
+        f = random_poly3(random.Random(3), 5)
+        for r in (f - f, f + (-f), -f + f, 0 * f, f * Fraction(0), f * Poly3.zero()):
+            assert r.terms == {}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("max_degree", range(7))
+    def test_random_poly3_matches_validating_reference(self, seed, max_degree):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            p, q = random_poly3(fast, max_degree), reference_random_poly3(slow, max_degree)
+            assert_clean(p)
+            assert p == q
+            assert list(p.terms) == list(q.terms)
+        assert fast.random() == slow.random()  # the same number of draws
+
+
 class TestOperators:
     def test_grad_example(self):
         assert grad(X1 * X1 + X2 * X3) == VecField3(2 * X1, X3, X2)
