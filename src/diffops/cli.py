@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 
-from .chains import DEFAULT_CAP, chain_name, enumerate_chains, export_tree_dot, per_start_counts
+from .chains import DEFAULT_CAP, PerStartCounts, chain_name, enumerate_chains, export_tree_dot
 from .closedform import closed_form_result
 from .errors import (
     CapError,
@@ -25,7 +25,7 @@ from .errors import (
     InvalidOperationError,
     UsageError,
 )
-from .exactalg import format_poly
+from .exactalg import format_poly, walk_vectors
 from .opgraph import Family, build_space
 from .sequences import (
     OEIS_IDS,
@@ -68,12 +68,17 @@ def _count_symbol(family: Family) -> str:
 
 def cmd_count(args) -> int:
     space = build_space(args.dim, args.family)
-    ps = per_start_counts(space, args.order)
     # Per-start counts never exceed the total, so checking it covers them.
     # A limit of 0, or an interpreter older than 3.10.7, means no limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and ps.total >= 10**limit:
-        raise DigitLimitError(f"the count at order {args.order}", limit)
+    # Every operation has a successor, so the totals never fall as the order
+    # grows: once one reaches the limit, so does the last. Checking at
+    # powers of two and at the last step refuses within twice the first
+    # order past the limit, and costs an accepted count almost nothing.
+    for k, vec in enumerate(walk_vectors(space, args.order), 1):
+        if limit and (k & (k - 1) == 0 or k == args.order) and sum(vec) >= 10**limit:
+            raise DigitLimitError(f"the count at order {args.order}", limit)
+    ps = PerStartCounts(args.order, dict(zip(space.ops, vec)))
     payload = {
         "command": "count",
         "family": space.family.value,

@@ -15,6 +15,7 @@ contains curl grad or div curl (see chain_vanishes).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -31,8 +32,11 @@ Exponents = tuple[int, int, int]
 class Poly3:
     """Sparse polynomial in three variables with exact rational coefficients.
 
-    Terms map exponent triples to nonzero Fractions; the zero polynomial
-    has an empty term map.
+    Terms map exponent triples to nonzero rationals, each an int or a
+    Fraction; the zero polynomial has an empty term map. The constructor
+    validates its input and stores Fractions. Int coefficients arise only
+    inside verify_identities, whose integer fields keep every result of
+    the calculus on native ints.
     """
 
     __slots__ = ("terms",)
@@ -53,8 +57,9 @@ class Poly3:
     @classmethod
     def _of(cls, terms: dict[Exponents, Fraction]) -> "Poly3":
         """Wrap a term map that is already clean: unique triples of
-        non-negative ints mapped to nonzero Fractions. Nothing is checked
-        or copied; every result the calculus builds comes through here."""
+        non-negative ints mapped to nonzero rationals (int or Fraction).
+        Nothing is checked or copied; every result the calculus builds
+        comes through here, so int coefficients stay ints."""
         p = object.__new__(cls)
         object.__setattr__(p, "terms", terms)
         return p
@@ -240,10 +245,11 @@ class VecField3:
     __rmul__ = __mul__
 
     def dot(self, vec) -> Poly3:
-        """Dot product with a rational 3-vector."""
+        """Dot product with a rational 3-vector. Int entries stay ints, so
+        an int field dotted with an int vector has int coefficients."""
         acc = Poly3.zero()
         for c, v in zip(self.components, vec):
-            acc = acc + c * Fraction(v)
+            acc = acc + c * (v if isinstance(v, int) else Fraction(v))
         return acc
 
     def __repr__(self) -> str:
@@ -420,16 +426,28 @@ def make_chain(ops: Iterable[int]) -> CompositionChain:
     return CompositionChain(t, (_SIGNATURES[t[-1]][0], _SIGNATURES[t[0]][1]))
 
 
-def random_poly3(rng: random.Random, max_degree: int) -> Poly3:
-    """Seed-reproducible polynomial: coefficients are rationals with
-    numerators in -9..9 and denominators in {1, 2, 3}."""
-    terms: dict[Exponents, Fraction] = {}
+def _draw_poly3(rng: random.Random, max_degree: int, coeff) -> Poly3:
+    """One draw of num in -9..9 and den in {1, 2, 3} per monomial of degree
+    <= max_degree, in a fixed order; each nonzero num becomes coeff(num, den)."""
+    terms = {}
     for exps in product(range(max_degree + 1), repeat=3):
         if sum(exps) <= max_degree:
             num, den = rng.randint(-9, 9), rng.choice((1, 2, 3))
             if num:
-                terms[exps] = Fraction(num, den)
+                terms[exps] = coeff(num, den)
     return Poly3._of(terms)
+
+
+def random_poly3(rng: random.Random, max_degree: int) -> Poly3:
+    """Seed-reproducible polynomial: coefficients are rationals with
+    numerators in -9..9 and denominators in {1, 2, 3}."""
+    return _draw_poly3(rng, max_degree, Fraction)
+
+
+def _random_int_poly3(rng: random.Random, max_degree: int) -> Poly3:
+    """6 * random_poly3(rng, max_degree) with int coefficients, from the
+    same draws: 6 is the lcm of the denominators {1, 2, 3}."""
+    return _draw_poly3(rng, max_degree, lambda num, den: num * (6 // den))
 
 
 def random_vecfield3(rng: random.Random, max_degree: int) -> VecField3:
@@ -530,14 +548,31 @@ def verify_identities(
     Witness search needs max_degree >= 3: a chain of length k kills all
     polynomials of degree < k, so degree-2 fields cannot witness any
     third-order composition.
+
+    The suite runs in integer arithmetic and reports exactly what it would
+    on the rational fields of random_poly3 and the direction e:
+
+    - Each field is 6 times the one random_poly3 draws from the same RNG
+      calls; 6 is the lcm of the denominators {1, 2, 3}, so every
+      coefficient is an int.
+    - The direction is λe with λ > 0 the lcm of the denominators of e,
+      so its entries are ints, and D_{λe} = λ·D_e.
+    - Every chain L is linear and D_e occurs j times in it, so the
+      integer run computes L'(6f) = λʲ·6·L(f), which is zero exactly
+      when L(f) is. Only that zero test leaves this function.
     """
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     if max_degree < 3:
         raise InvalidArgumentError(f"max_degree must be >= 3, got {max_degree}")
     rng = random.Random(seed)
-    scalars = [random_poly3(rng, max_degree) for _ in range(trials)]
-    vectors = [random_vecfield3(rng, max_degree) for _ in range(trials)]
+    scalars = [_random_int_poly3(rng, max_degree) for _ in range(trials)]
+    vectors = [
+        VecField3(*(_random_int_poly3(rng, max_degree) for _ in range(3)))
+        for _ in range(trials)
+    ]
+    scale = math.lcm(*(x.denominator for x in e.e))
+    e = Direction(tuple(int(x * scale) for x in e.e), False)
 
     def fields_for(ops):
         return scalars if _SIGNATURES[ops[-1]][0] == 0 else vectors

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,23 @@ class TestCount:
     def test_digit_limit_exit_3_without_traceback(self, capsys, digit_limit):
         code, out, err = run(capsys, "count", "--family", "b", "--dim", "3", "--order", "50000")
         assert (code, out, err.count("\n")) == (3, "", 1)
+
+    def test_refusal_stops_the_walk_early(self, capsys, digit_limit, monkeypatch):
+        steps = 0
+        walk = diffops.cli.walk_vectors
+
+        def counted(space, k):
+            nonlocal steps
+            for vec in walk(space, k):
+                steps += 1
+                yield vec
+
+        monkeypatch.setattr(diffops.cli, "walk_vectors", counted)
+        code, out, err = run(capsys, "count", "--family", "b", "--dim", "3", "--order", "200000")
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("error: ")
+        # 14284 is the first B3 order past the limit
+        assert 14284 <= steps <= 2 * 14284
 
     def test_zero_digit_limit_means_no_limit(self, capsys, digit_limit):
         sys.set_int_max_str_digits(0)
@@ -272,6 +290,27 @@ class TestVerifyIdentities:
         assert payload["passed"] is True
         assert len(payload["zero_identities"]) == 9
         assert len(payload["nonzero_witnesses"]) == 15
+
+
+# SHA-256 of stdout, computed before the identity suite moved to integer
+# arithmetic; the reports must stay byte-identical.
+GOLDEN_STDOUT = {
+    ("verify-identities", "--trials", "25", "--degree", "4", "--seed", "7", "--format", "json"):
+        "fcf142178610a6cefc5d63ce410c11020db038d22eab729b688fd1bacbc5480b",
+    ("verify-identities", "--trials", "5", "--degree", "3", "--seed", "1"):
+        "0b414b810b10a3136df4391f6ab59098e7a0c300fb82bd0726df01a096de8a35",
+    ("verify-identities", "--trials", "25", "--degree", "6", "--seed", "3", "--format", "json"):
+        "6f8604efc5e9db4314504a68938977f471109aeba210453b3cccb02869e3851e",
+    ("verify-identities",):
+        "9224f1524f86f9ba179ba87f4312383cb28d5540211ea0622dfe5ade08fc71cb",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+def test_verify_identities_golden_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 class TestOeis:

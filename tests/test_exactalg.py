@@ -116,6 +116,17 @@ class TestCounts:
         terms = [count_order_k(space, k) for k in range(1, 21)]
         assert all(a <= b for a, b in zip(terms, terms[1:]))
 
+    # The count command refuses a total past the digit limit at the first
+    # power-of-two order that reaches it, which is sound only if totals
+    # never fall as the order grows.
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(family=st.sampled_from(["A", "B"]), n=st.integers(min_value=3, max_value=24))
+    def test_counts_never_decrease_in_k(self, family, n):
+        space = build_space(n, family)
+        assert all(any(space.dom(j) == space.cod(i) for j in space.ops) for i in space.ops)
+        totals = [sum(vec) for vec in walk_vectors(space, 60)]
+        assert all(a <= b for a, b in zip(totals, totals[1:]))
+
     def test_big_orders_do_not_overflow(self):
         # 2^201 is far beyond 64-bit range
         assert count_order_k(build_space(3, "B"), 200) == 2**201

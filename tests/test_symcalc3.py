@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffops import symcalc3
 from diffops.chains import enumerate_chains
 from diffops.errors import CompositionTypeError, InvalidArgumentError, InvalidDirectionError
 from diffops.opgraph import build_space
@@ -13,6 +14,7 @@ from diffops.symcalc3 import (
     DEFAULT_DIRECTION,
     NONZERO_CHAINS,
     ZERO_CHAINS,
+    Direction,
     Poly3,
     VecField3,
     chain_vanishes,
@@ -24,6 +26,7 @@ from diffops.symcalc3 import (
     gateaux,
     grad,
     laplacian_direct,
+    _random_int_poly3,
     make_chain,
     random_poly3,
     random_vecfield3,
@@ -221,6 +224,93 @@ class TestCleanResults:
             assert p == q
             assert list(p.terms) == list(q.terms)
         assert fast.random() == slow.random()  # the same number of draws
+
+
+def reference_report(trials, max_degree, seed, e):
+    """The holds and witnessed flags of verify_identities, computed on the
+    rational fields of random_poly3 with the rational direction e."""
+    rng = random.Random(seed)
+    scalars = [random_poly3(rng, max_degree) for _ in range(trials)]
+    vectors = [random_vecfield3(rng, max_degree) for _ in range(trials)]
+
+    def results(ops):
+        fields = scalars if make_chain(ops).signature[0] == 0 else vectors
+        return [compose_and_check(ops, f, e).is_zero for f in fields]
+
+    return (
+        [all(results(ops)) for ops in ZERO_CHAINS],
+        [not all(results(ops)) for ops in NONZERO_CHAINS],
+    )
+
+
+def int_field(rng, kind, max_degree):
+    if kind == 0:
+        return _random_int_poly3(rng, max_degree)
+    return VecField3(*(_random_int_poly3(rng, max_degree) for _ in range(3)))
+
+
+def components(field):
+    return field.components if isinstance(field, VecField3) else (field,)
+
+
+class TestIntegerPath:
+    """verify_identities runs on 6 x random_poly3 fields and an integer
+    multiple of the direction; these pin that path to the rational one."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("max_degree", range(7))
+    def test_int_generator_is_six_times_random_poly3(self, seed, max_degree):
+        ints, fracs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            p, q = _random_int_poly3(ints, max_degree), random_poly3(fracs, max_degree)
+            assert p == q * 6
+            assert list(p.terms) == list(q.terms)
+            assert all(type(c) is int for c in p.terms.values())
+        assert ints.getstate() == fracs.getstate()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chains_on_int_fields_stay_int(self, k):
+        # (3/5, 4/5, 0) scaled by the lcm 5 of its denominators
+        e_int = Direction((3, 4, 0), False)
+        rng = random.Random(k)
+        for chain in enumerate_chains(build_space(3, "B"), k):
+            field = int_field(rng, chain.signature[0], 4)
+            out = compose_and_check(chain, field, e_int)
+            assert all(
+                type(c) is int for comp in components(out) for c in comp.terms.values()
+            ), chain.ops
+            # L'(6f) = 5^j * L(6f) for the j directional derivatives in L
+            rational = compose_and_check(chain, field, DEFAULT_DIRECTION)
+            assert out == rational * 5 ** chain.ops.count(0)
+
+    def test_verify_identities_composes_int_fields_and_direction(self, monkeypatch):
+        calls = []
+
+        def recording(chain, field, e=None):
+            calls.append((field, e))
+            return compose_and_check(chain, field, e)
+
+        monkeypatch.setattr(symcalc3, "compose_and_check", recording)
+        verify_identities(trials=2, max_degree=3, seed=5)
+        assert calls
+        for field, e in calls:
+            assert all(type(c) is int for comp in components(field) for c in comp.terms.values())
+            assert e.e == (3, 4, 0) and all(type(x) is int for x in e.e)
+
+    @pytest.mark.parametrize(
+        "e",
+        [DEFAULT_DIRECTION, direction(Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)),
+         direction(1, 2, 3, strict=False)],
+        ids=["3/5,4/5,0", "2/7,3/7,6/7", "relaxed 1,2,3"],
+    )
+    @pytest.mark.parametrize("max_degree", [3, 4, 5, 6])
+    def test_flags_match_rational_reference(self, e, max_degree):
+        for seed in (0, 3, 11):
+            for trials in (1, 2, 3):
+                report = verify_identities(trials, max_degree, seed, e)
+                holds, witnessed = reference_report(trials, max_degree, seed, e)
+                assert [c.holds for c in report.zero_checks] == holds
+                assert [c.witnessed for c in report.witness_checks] == witnessed
 
 
 class TestOperators:
