@@ -22,7 +22,7 @@ from .closedform import (
     count_closed_form_r3,
 )
 from .exactalg import IntMatrix, IntPolynomial, char_poly, count_order_k, walk_char_poly, walk_vectors
-from .opgraph import CompositionRelation, Family, OperationSpace, adjacency_matrix, build_space, cayley_table
+from .opgraph import Family, OperationSpace, build_space
 from .sequences import RecurrenceSpec, SequenceRecord, derive_recurrence, oeis_compare, recurrence_table, verify_recurrence
 from .symcalc3 import Direction, Poly3, VecField3, compose_and_check, curl, direction, div, gateaux, grad, verify_identities
 
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainTreeNode",
     "CompositionChain",
-    "CompositionRelation",
     "Direction",
     "Family",
     "IntMatrix",
@@ -42,10 +41,8 @@ __all__ = [
     "RecurrenceSpec",
     "SequenceRecord",
     "VecField3",
-    "adjacency_matrix",
     "build_space",
     "build_tree",
-    "cayley_table",
     "chain_name",
     "char_poly",
     "charpoly_a_closed",

@@ -62,24 +62,13 @@ class ChainTreeNode:
         return sizes
 
 
-def is_meaningful(space: OperationSpace, ops: tuple[int, ...]) -> bool:
-    """Check every adjacent pair of a leftmost-first index sequence.
-
-    Raises InvalidOperationError for an index outside the space, at every
-    length.
-    """
-    if not ops:
-        return False
-    rel = space.relation
-    for i in ops:
-        rel.check_op(i)
-    applied = tuple(reversed(ops))
-    return all(rel.holds(applied[t], applied[t + 1]) for t in range(len(applied) - 1))
-
-
 def _successors(space: OperationSpace) -> dict[int, tuple[int, ...]]:
-    """The operations whose domain set is the codomain set of each operation."""
-    return {i: tuple(j for j in space.ops if space.dom(j) == space.cod(i)) for i in space.ops}
+    """The operations whose domain set is the codomain set of each operation,
+    in ascending order; one pass groups them by domain set."""
+    by_dom: dict[int, list[int]] = {}
+    for j in space.ops:
+        by_dom.setdefault(space.dom(j), []).append(j)
+    return {i: tuple(by_dom[space.cod(i)]) for i in space.ops}
 
 
 def _check_cap(total: int, cap: int) -> None:

@@ -5,19 +5,17 @@ Family A holds the n first-order differential operations nabla_1..nabla_n
 the directional derivative nabla_0. Each operation maps between indexed
 function sets A_s, and a composition "nabla_j after nabla_i" is
 meaningful exactly when the codomain set of nabla_i is the domain set of
-nabla_j. The same fact is captured twice, by the signature table and by
-a closed-form pair predicate, and the two are cross-validated whenever a
-space is built. All walk computations read the signature table.
+nabla_j. The signature table is the one definition of that graph; every
+kernel reads it, and _signature_table proves that it gives the paper's
+closed-form pair rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .errors import ComputationError, InvalidDimensionError, InvalidOperationError
-from .exactalg import IntMatrix
+from .errors import InvalidDimensionError, InvalidOperationError
 
 # Tree-root sentinel for walk-tree export; never valid inside a chain.
 ROOT_OP = -1
@@ -38,40 +36,6 @@ class Family(str, Enum):
 
 
 @dataclass(frozen=True)
-class CompositionRelation:
-    """The 'to be in composition' predicate for one family and dimension.
-
-    holds(i, j) is true iff applying nabla_i first and nabla_j second is
-    meaningful. Pure and deterministic.
-    """
-
-    family: Family
-    n: int
-
-    def ops(self) -> tuple[int, ...]:
-        first = 0 if self.family is Family.B else 1
-        return tuple(range(first, self.n + 1))
-
-    def check_op(self, idx: int) -> None:
-        if idx == 0 and self.family is Family.A:
-            raise InvalidOperationError("operation 0 exists only in family B")
-        lo = 0 if self.family is Family.B else 1
-        if not lo <= idx <= self.n:
-            raise InvalidOperationError(
-                f"operation index {idx} out of range for family {self.family.value}, n={self.n}"
-            )
-
-    def holds(self, i: int, j: int) -> bool:
-        self.check_op(i)
-        self.check_op(j)
-        if j == i + 1 or i + j == self.n + 1:
-            return True
-        if self.family is Family.B:
-            return (i == 0 and j == 0) or (i == self.n and j == 0)
-        return False
-
-
-@dataclass(frozen=True)
 class OperationSpace:
     """Immutable signature table for one family at one dimension."""
 
@@ -82,11 +46,8 @@ class OperationSpace:
 
     @property
     def ops(self) -> tuple[int, ...]:
-        return self.relation.ops()
-
-    @property
-    def relation(self) -> CompositionRelation:
-        return CompositionRelation(self.family, self.n)
+        """Operation indices in ascending order: 1..n, plus 0 for family B."""
+        return tuple(self.signatures)
 
     def dom(self, i: int) -> int:
         return self.signatures[i][0]
@@ -99,60 +60,47 @@ class OperationSpace:
         return len(self.signatures)
 
     def adjacency_rows(self) -> tuple[tuple[int, ...], ...]:
-        """0/1 adjacency rows, ordered by operation index (row r = ops[r])."""
-        return _adjacency_rows(self.family, self.n)
+        """0/1 adjacency rows, ordered by operation index: entry (r, c) is 1
+        exactly when ops[c] may follow ops[r], i.e. cod(ops[r]) = dom(ops[c])."""
+        ops = self.ops
+        return tuple(tuple(int(self.cod(i) == self.dom(j)) for j in ops) for i in ops)
 
 
 def _signature_table(family: Family, n: int) -> dict:
-    m = n // 2
-    sig = {}
-    if family is Family.B:
-        sig[0] = (0, 0)
+    """Domain and codomain set of every operation, in ascending index order.
+
+    nabla_0 (family B only) maps A_0 to A_0. For 1 <= i <= n,
+
+        dom(i) = min(i - 1, n + 1 - i),    cod(i) = min(i, n - i),
+
+    so with m = n // 2: nabla_i maps A_(i-1) to A_i for i <= m, the middle
+    operation of odd n (i = m + 1) loops on A_m, and every later nabla_i
+    maps A_(n+1-i) back to A_(n-i).
+
+    The table gives the paper's pair rule for every n >= 3: nabla_j may
+    follow nabla_i iff j = i + 1 or i + j = n + 1, and in family B also
+    for (0, 0) and (n, 0).
+
+    - For 1 <= i, j <= n: dom(i + 1) = min(i, n - i) = cod(i) and
+      dom(n + 1 - i) = min(n - i, i) = cod(i), so both rule pairs compose.
+      Conversely, if cod(i) = dom(j) = s, then i is s or n - s and j is
+      s + 1 or n + 1 - s (a minimum equals one of its arguments); each of
+      the four combinations has j = i + 1 or i + j = n + 1.
+    - cod(0) = 0 and dom(j) = 0 only for j = 1 (n + 1 - j > 0), so
+      nabla_0 is followed exactly by nabla_0 and nabla_1 = nabla_(0+1).
+    - dom(0) = 0 and cod(i) = 0 only for i = n (i > 0), so nabla_0
+      follows exactly nabla_0 and nabla_n. The rule's clauses add no other
+      pair with 0: they would need index -1 or n + 1.
+    """
+    sig = {0: (0, 0)} if family is Family.B else {}
     for i in range(1, n + 1):
-        if i <= m:
-            sig[i] = (i - 1, i)
-        elif n % 2 == 1 and i == m + 1:
-            sig[i] = (m, m)
-        else:
-            sig[i] = (n - i + 1, n - i)
+        sig[i] = (min(i - 1, n + 1 - i), min(i, n - i))
     return sig
 
 
-@lru_cache(maxsize=None)
-def _adjacency_rows(family: Family, n: int) -> tuple[tuple[int, ...], ...]:
-    rel = CompositionRelation(family, n)
-    ops = rel.ops()
-    return tuple(tuple(1 if rel.holds(i, j) else 0 for j in ops) for i in ops)
-
-
 def build_space(n: int, family) -> OperationSpace:
-    """Construct the operation space; signatures are checked against the
-    pair predicate for every pair before the space is returned."""
+    """Construct the operation space of a family at dimension n >= 3."""
     fam = Family.coerce(family)
     if n < 3:
         raise InvalidDimensionError(f"dimension must be >= 3, got {n}")
-    space = OperationSpace(fam, n, n // 2, _signature_table(fam, n))
-    rel = space.relation
-    for i in space.ops:
-        for j in space.ops:
-            if (space.cod(i) == space.dom(j)) != rel.holds(i, j):
-                raise ComputationError(
-                    f"signature table disagrees with relation at ({i}, {j}), "
-                    f"family {fam.value}, n={n}"
-                )
-    return space
-
-
-def cayley_table(rel: CompositionRelation) -> tuple[tuple[bool, ...], ...]:
-    """Full truth table of the relation over all operation pairs."""
-    ops = rel.ops()
-    return tuple(tuple(rel.holds(i, j) for j in ops) for i in ops)
-
-
-def adjacency_matrix(space: OperationSpace) -> IntMatrix:
-    """Adjacency matrix of the composition graph.
-
-    Row/column r corresponds to operation space.ops[r]; the matrix has
-    order n for family A and n+1 for family B.
-    """
-    return IntMatrix(space.adjacency_rows())
+    return OperationSpace(fam, n, n // 2, _signature_table(fam, n))

@@ -306,23 +306,6 @@ def gateaux(f: Poly3, e: Direction) -> Poly3:
     return grad(f).dot(e.e)
 
 
-def laplacian_direct(f: Poly3) -> Poly3:
-    """Sum of second partials computed term-by-term, independent of diff().
-
-    Exists as a second route for cross-checking the div-grad composition.
-    """
-    out: dict[Exponents, Fraction] = {}
-    for e, c in f.terms.items():
-        for i in range(3):
-            if e[i] < 2:
-                continue
-            d = list(e)
-            d[i] -= 2
-            key = tuple(d)
-            out[key] = out.get(key, Fraction(0)) + c * e[i] * (e[i] - 1)
-    return Poly3(out)
-
-
 # Domain and codomain set of each R^3 operation (scalar = set 0, vector = set 1).
 _SIGNATURES = build_space(3, Family.B).signatures
 
@@ -371,7 +354,7 @@ def compose_and_check(
     """Apply a chain right-to-left after checking the field kind at every step.
 
     The kind check is exactly the meaningfulness criterion, so a chain
-    that the composition relation rejects fails here with a type error
+    that the signature table rejects fails here with a type error
     at the first mismatched step.
     """
     ops = chain.ops if isinstance(chain, CompositionChain) else tuple(chain)
@@ -426,32 +409,18 @@ def make_chain(ops: Iterable[int]) -> CompositionChain:
     return CompositionChain(t, (_SIGNATURES[t[-1]][0], _SIGNATURES[t[0]][1]))
 
 
-def _draw_poly3(rng: random.Random, max_degree: int, coeff) -> Poly3:
-    """One draw of num in -9..9 and den in {1, 2, 3} per monomial of degree
-    <= max_degree, in a fixed order; each nonzero num becomes coeff(num, den)."""
+def _random_int_poly3(rng: random.Random, max_degree: int) -> Poly3:
+    """Seed-reproducible polynomial with int coefficients: one draw of num
+    in -9..9 and den in {1, 2, 3} per monomial of degree <= max_degree, in
+    a fixed order, gives the coefficient 6 * num / den. 6 is the lcm of the
+    denominators, so this is 6 times the rational polynomial of the draws."""
     terms = {}
     for exps in product(range(max_degree + 1), repeat=3):
         if sum(exps) <= max_degree:
             num, den = rng.randint(-9, 9), rng.choice((1, 2, 3))
             if num:
-                terms[exps] = coeff(num, den)
+                terms[exps] = num * (6 // den)
     return Poly3._of(terms)
-
-
-def random_poly3(rng: random.Random, max_degree: int) -> Poly3:
-    """Seed-reproducible polynomial: coefficients are rationals with
-    numerators in -9..9 and denominators in {1, 2, 3}."""
-    return _draw_poly3(rng, max_degree, Fraction)
-
-
-def _random_int_poly3(rng: random.Random, max_degree: int) -> Poly3:
-    """6 * random_poly3(rng, max_degree) with int coefficients, from the
-    same draws: 6 is the lcm of the denominators {1, 2, 3}."""
-    return _draw_poly3(rng, max_degree, lambda num, den: num * (6 // den))
-
-
-def random_vecfield3(rng: random.Random, max_degree: int) -> VecField3:
-    return VecField3(*(random_poly3(rng, max_degree) for _ in range(3)))
 
 
 # The adjacent pairs that kill a chain: curl grad and div curl.
@@ -550,11 +519,11 @@ def verify_identities(
     third-order composition.
 
     The suite runs in integer arithmetic and reports exactly what it would
-    on the rational fields of random_poly3 and the direction e:
+    on the rational fields of its random draws and the direction e:
 
-    - Each field is 6 times the one random_poly3 draws from the same RNG
-      calls; 6 is the lcm of the denominators {1, 2, 3}, so every
-      coefficient is an int.
+    - Each field is 6 times the rational polynomial its draws num / den
+      give (see _random_int_poly3); 6 is the lcm of the denominators
+      {1, 2, 3}, so every coefficient is an int.
     - The direction is λe with λ > 0 the lcm of the denominators of e,
       so its entries are ints, and D_{λe} = λ·D_e.
     - Every chain L is linear and D_e occurs j times in it, so the

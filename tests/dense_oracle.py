@@ -1,13 +1,14 @@
 """Dense reference routes for the function-set kernels of diffops.exactalg.
 
-Both work on the full d×d 0/1 adjacency matrix, which opgraph builds from
-the pair predicate rather than from the signature table: walk counts come
-from explicit matrix powers, characteristic polynomials from
+Both work on the full d×d 0/1 adjacency matrix, built from the pair rule
+(tests/pair_rule.py) rather than from the signature table: walk counts
+come from explicit matrix powers, characteristic polynomials from
 Faddeev-LeVerrier on the whole matrix.
 """
 
 from diffops.exactalg import char_poly
-from diffops.opgraph import adjacency_matrix
+
+from pair_rule import adjacency_matrix
 
 
 def per_start_by_matrix_power(space, k):

@@ -21,17 +21,18 @@ from diffops.closedform import (
     fibonacci,
 )
 from diffops.exactalg import count_order_k
-from diffops.opgraph import CompositionRelation, Family, build_space, cayley_table
+from diffops.opgraph import build_space
 from diffops.sequences import OEIS_IDS, make_record, oeis_compare, recurrence_table, verify_recurrence
 from diffops.symcalc3 import (
     DEFAULT_DIRECTION,
     grad,
     gateaux,
-    random_poly3,
     verify_identities,
 )
 
+from r3_reference import random_poly3
 from test_chains import SECOND_ORDER_A3, SECOND_ORDER_B3, THIRD_ORDER_A3, THIRD_ORDER_B3
+from test_opgraph import cayley_table
 from test_sequences import TABLE_A, TABLE_B
 
 
@@ -64,7 +65,7 @@ def test_c2_chain_list_golden_sets():
 
 
 def test_c3_cayley_table_b3():
-    table = cayley_table(CompositionRelation(Family.B, 3))
+    table = cayley_table(build_space(3, "B"))
     expected = (
         (True, True, False, False),
         (False, False, True, True),

@@ -9,13 +9,14 @@ from diffops.chains import (
     chain_name,
     enumerate_chains,
     export_tree_dot,
-    is_meaningful,
     per_start_counts,
 )
 from diffops.opgraph import ROOT_OP
 from diffops.errors import EnumerationCapError, InvalidOperationError, InvalidOrderError
 from diffops.exactalg import count_order_k
 from diffops.opgraph import build_space
+
+from pair_rule import is_meaningful
 
 # Golden chain sets as displayed in the source lists (leftmost-first).
 SECOND_ORDER_A3 = {(3, 1), (2, 2), (1, 3), (2, 1), (3, 2)}

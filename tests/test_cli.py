@@ -134,6 +134,28 @@ def test_out_of_range_arguments_exit_2_with_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        (("count", "--family", "a", "--dim", "20000", "--order", "2"), ["39998"]),
+        (("enumerate", "--family", "a", "--dim", "50000", "--order", "1"),
+         [f"∇_{i}" for i in range(1, 50001)]),
+    ],
+)
+def test_large_dimension_without_quadratic_work(argv, lines):
+    # build_space and the successor lists take O(order) work; a pass
+    # over all operation pairs would take minutes at these n
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(diffops.__file__).parents[1]), PYTHONIOENCODING="utf-8"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffops", *argv],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == lines
+
+
 def test_import_leaves_the_network_stack_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(diffops.__file__).parents[1]))
     probe = "import sys, diffops.cli; print('urllib.request' in sys.modules)"

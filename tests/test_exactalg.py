@@ -15,8 +15,10 @@ from diffops.exactalg import (
     format_poly,
     walk_vectors,
 )
-from diffops.opgraph import adjacency_matrix, build_space
+from diffops.opgraph import build_space
 from diffops.sequences import make_record
+
+from pair_rule import adjacency_matrix
 
 
 def brute_force_walks(rows, length, src, dst):

@@ -1,0 +1,27 @@
+"""The README's library example runs against the package as it is."""
+
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_library_example_runs_and_gives_its_commented_values():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = block.splitlines()
+    namespace, checked = {}, []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        # a comment that opens with a Python literal states the value
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].split(",")[0].strip()
+        try:
+            expected = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            continue
+        assert value == expected, lines[stmt.end_lineno - 1]
+        checked.append(expected)
+    assert checked == [2048, "λ^4 - 2λ^3", True]
