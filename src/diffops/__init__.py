@@ -5,10 +5,8 @@ polynomials, and the symbolic composition identities in three dimensions.
 """
 
 from .chains import (
-    ChainTreeNode,
     CompositionChain,
     PerStartCounts,
-    build_tree,
     chain_name,
     enumerate_chains,
     export_tree_dot,
@@ -29,7 +27,6 @@ from .symcalc3 import Direction, Poly3, VecField3, compose_and_check, curl, dire
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainTreeNode",
     "CompositionChain",
     "Direction",
     "Family",
@@ -42,7 +39,6 @@ __all__ = [
     "SequenceRecord",
     "VecField3",
     "build_space",
-    "build_tree",
     "chain_name",
     "char_poly",
     "charpoly_a_closed",

@@ -2,18 +2,18 @@
 
 Chains are stored leftmost-first, i.e. in the order the composition is
 written: "div grad" is (3, 1) with operation 1 applied first. The walk
-tree rooted at the nowhere-defined sentinel operation (index -1) mirrors
-the same enumeration level by level and can be exported as DOT text.
+tree, whose level k holds one node per k-chain, is exported as DOT text.
+Both are read straight off the signature table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import EnumerationCapError, InvalidArgumentError, InvalidOrderError
 from .exactalg import count_order_k, walk_vectors
-from .opgraph import Family, OperationSpace, ROOT_OP
+from .opgraph import Family, OperationSpace
 
 DEFAULT_CAP = 10**6
 
@@ -21,6 +21,9 @@ R3_NAMES = {0: "D_e", 1: "grad", 2: "curl", 3: "div"}
 
 _SCALAR_SUFFIX = " f"
 _VECTOR_SUFFIX = " f⃗"
+
+# Id suffix and label index of the DOT root; never an operation index.
+_DOT_ROOT = -1
 
 
 @dataclass(frozen=True)
@@ -45,30 +48,16 @@ class PerStartCounts:
         return sum(self.counts.values())
 
 
-@dataclass(frozen=True)
-class ChainTreeNode:
-    """Node of the walk tree; the root carries the sentinel operation and its
-    children are the first-order operations."""
-
-    op: int
-    children: tuple["ChainTreeNode", ...]
-
-    def level_sizes(self) -> list[int]:
-        sizes = [1]
-        frontier = self.children
-        while frontier:
-            sizes.append(len(frontier))
-            frontier = tuple(child for node in frontier for child in node.children)
-        return sizes
-
-
-def _successors(space: OperationSpace) -> dict[int, tuple[int, ...]]:
-    """The operations whose domain set is the codomain set of each operation,
-    in ascending order; one pass groups them by domain set."""
-    by_dom: dict[int, list[int]] = {}
+def _adjacent(
+    space: OperationSpace, near: Callable[[int], int], far: Callable[[int], int]
+) -> dict[int, tuple[int, ...]]:
+    """For each operation i, the operations j with near(j) = far(i), in
+    ascending order; one pass groups them by near. (dom, cod) gives the
+    successors of i, (cod, dom) its predecessors."""
+    groups: dict[int, list[int]] = {}
     for j in space.ops:
-        by_dom.setdefault(space.dom(j), []).append(j)
-    return {i: tuple(by_dom[space.cod(i)]) for i in space.ops}
+        groups.setdefault(near(j), []).append(j)
+    return {i: tuple(groups[far(i)]) for i in space.ops}
 
 
 def _check_cap(total: int, cap: int) -> None:
@@ -81,26 +70,24 @@ def _check_cap(total: int, cap: int) -> None:
 def enumerate_chains(
     space: OperationSpace, k: int, cap: int = DEFAULT_CAP
 ) -> list[CompositionChain]:
-    """All meaningful chains of length k, sorted lexicographically by their
+    """All meaningful chains of length k, in lexicographic order of their
     leftmost-first index sequences.
 
     The count is computed first (cheaply, by the walk kernel) and
     compared against the cap so that an oversized request fails fast
-    instead of hanging.
+    instead of hanging. Chains grow to the right, through the operations
+    that may be applied just before the first-applied one, in ascending
+    order; prefixes in lexicographic order, each extended by ascending
+    suffixes, stay in that order.
     """
     if k < 1:
         raise InvalidOrderError(f"composition order must be >= 1, got {k}")
     _check_cap(count_order_k(space, k), cap)
-    nexts = _successors(space)
+    before = _adjacent(space, space.cod, space.dom)
     found = [(i,) for i in space.ops]
     for _ in range(k - 1):
-        found = [seq + (j,) for seq in found for j in nexts[seq[-1]]]
-    chains = [
-        CompositionChain(tuple(reversed(seq)), (space.dom(seq[0]), space.cod(seq[-1])))
-        for seq in found
-    ]
-    chains.sort(key=lambda c: c.ops)
-    return chains
+        found = [seq + (j,) for seq in found for j in before[seq[-1]]]
+    return [CompositionChain(seq, (space.dom(seq[-1]), space.cod(seq[0]))) for seq in found]
 
 
 def chain_name(chain: CompositionChain, n: int) -> str:
@@ -120,48 +107,35 @@ def per_start_counts(space: OperationSpace, k: int) -> PerStartCounts:
     return PerStartCounts(k, dict(zip(space.ops, vec)))
 
 
-def build_tree(space: OperationSpace, depth: int, cap: int = DEFAULT_CAP) -> ChainTreeNode:
-    """Walk tree rooted at the sentinel operation, down to the given depth.
+def export_tree_dot(space: OperationSpace, depth: int, cap: int = DEFAULT_CAP) -> str:
+    """DOT digraph of the walk tree down to the given depth.
 
-    Level d holds one node per meaningful d-chain, so the sizes equal the
-    composition counts; the total node budget is capped like enumeration.
+    The root is "nabla_-1"; its children are the first-order operations,
+    and each node's children are the operations that may follow it, so
+    level d holds one node per meaningful d-chain. Node ids are the
+    dot-joined paths from the root, written depth first with children in
+    ascending order; level sizes are annotated as graph comments,
+    including the single root at level 0. The total node budget is
+    capped like enumeration, before any node is written.
     """
     if depth < 1:
         raise InvalidOrderError(f"tree depth must be >= 1, got {depth}")
-    _check_cap(sum(sum(vec) for vec in walk_vectors(space, depth)), cap)
-    nexts = _successors(space)
-
-    def grow(op: int, level: int) -> ChainTreeNode:
-        if level == depth:
-            return ChainTreeNode(op, ())
-        return ChainTreeNode(op, tuple(grow(j, level + 1) for j in nexts[op]))
-
-    # the sentinel root relates to every first-order operation
-    return ChainTreeNode(ROOT_OP, tuple(grow(i, 1) for i in space.ops))
-
-
-def export_tree_dot(space: OperationSpace, depth: int, cap: int = DEFAULT_CAP) -> str:
-    """DOT digraph of the walk tree rooted at the sentinel operation.
-
-    Node ids are the dot-joined paths from the root; level sizes are
-    annotated as graph comments, including the single root at level 0.
-    """
-    tree = build_tree(space, depth, cap)
+    sizes = [sum(vec) for vec in walk_vectors(space, depth)]
+    _check_cap(sum(sizes), cap)
+    after = _adjacent(space, space.dom, space.cod)
     letter = "f" if space.family is Family.A else "g"
-    lines = ["digraph composition_tree {"]
-    for d, c in enumerate(tree.level_sizes()):
-        lines.append(f"  // {letter}({d}) = {c}")
-    root_id = f"nabla_{ROOT_OP}"
-    lines.append(f'  "{root_id}" [label="∇_{ROOT_OP}"];')
-
-    def emit(node: ChainTreeNode, path: tuple[int, ...], parent_id: str) -> None:
-        node_id = ".".join(str(i) for i in path)
-        lines.append(f'  "{node_id}" [label="∇_{node.op}"];')
+    lines = ["digraph composition_tree {", f"  // {letter}(0) = 1"]
+    lines += [f"  // {letter}({d}) = {c}" for d, c in enumerate(sizes, 1)]
+    root_id = f"nabla_{_DOT_ROOT}"
+    lines.append(f'  "{root_id}" [label="∇_{_DOT_ROOT}"];')
+    # (node id, operation, parent id, level); children are pushed in
+    # reverse so they pop in ascending order: a preorder walk
+    stack = [(str(i), i, root_id, 1) for i in reversed(space.ops)]
+    while stack:
+        node_id, op, parent_id, level = stack.pop()
+        lines.append(f'  "{node_id}" [label="∇_{op}"];')
         lines.append(f'  "{parent_id}" -> "{node_id}";')
-        for child in node.children:
-            emit(child, path + (child.op,), node_id)
-
-    for child in tree.children:
-        emit(child, (child.op,), root_id)
+        if level < depth:
+            stack.extend((f"{node_id}.{j}", j, node_id, level + 1) for j in reversed(after[op]))
     lines.append("}")
     return "\n".join(lines) + "\n"

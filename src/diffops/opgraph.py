@@ -12,13 +12,12 @@ closed-form pair rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import InvalidDimensionError, InvalidOperationError
-
-# Tree-root sentinel for walk-tree export; never valid inside a chain.
-ROOT_OP = -1
 
 
 class Family(str, Enum):
@@ -37,12 +36,15 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class OperationSpace:
-    """Immutable signature table for one family at one dimension."""
+    """Immutable signature table for one family at one dimension. The
+    table is a read-only view and a function of (family, n), so it takes
+    no part in equality or hashing."""
 
     family: Family
     n: int
     m: int
-    signatures: dict  # op index -> (domain set index, codomain set index)
+    # op index -> (domain set index, codomain set index)
+    signatures: Mapping[int, tuple[int, int]] = field(compare=False)
 
     @property
     def ops(self) -> tuple[int, ...]:
@@ -103,4 +105,4 @@ def build_space(n: int, family) -> OperationSpace:
     fam = Family.coerce(family)
     if n < 3:
         raise InvalidDimensionError(f"dimension must be >= 3, got {n}")
-    return OperationSpace(fam, n, n // 2, _signature_table(fam, n))
+    return OperationSpace(fam, n, n // 2, MappingProxyType(_signature_table(fam, n)))

@@ -5,13 +5,11 @@ import pytest
 
 from diffops.chains import (
     CompositionChain,
-    build_tree,
     chain_name,
     enumerate_chains,
     export_tree_dot,
     per_start_counts,
 )
-from diffops.opgraph import ROOT_OP
 from diffops.errors import EnumerationCapError, InvalidOperationError, InvalidOrderError
 from diffops.exactalg import count_order_k
 from diffops.opgraph import build_space
@@ -75,8 +73,18 @@ class TestGoldenChainLists:
 
 class TestEnumerationMechanics:
     def test_lexicographic_output_order(self):
-        chains = enumerate_chains(build_space(3, "B"), 3)
-        assert [c.ops for c in chains] == sorted(c.ops for c in chains)
+        # brute force by the pair rule, then sorted; a meaningful chain's
+        # prefixes are meaningful, so extending only those finds them all
+        for family in ("A", "B"):
+            for n in range(3, 9):
+                space = build_space(n, family)
+                found = [()]
+                for k in range(1, 7):
+                    found = [s + (j,) for s in found for j in space.ops
+                             if is_meaningful(space, s + (j,))]
+                    expected = [(s, (space.dom(s[-1]), space.cod(s[0]))) for s in sorted(found)]
+                    chains = enumerate_chains(space, k)
+                    assert [(c.ops, c.signature) for c in chains] == expected, (family, n, k)
 
     def test_signatures(self):
         chains = {c.ops: c for c in enumerate_chains(build_space(3, "B"), 2)}
@@ -233,14 +241,42 @@ class TestTreeExport:
             export_tree_dot(build_space(3, "B"), 25, cap=1000)
 
     def test_tree_levels_equal_counts(self):
-        for family in ("A", "B"):
+        for family, letter in (("A", "f"), ("B", "g")):
             space = build_space(5, family)
-            tree = build_tree(space, 5)
-            assert tree.op == ROOT_OP
-            assert tree.level_sizes() == [1] + [
-                count_order_k(space, d) for d in range(1, 6)
-            ]
+            dot = export_tree_dot(space, 5)
+            sizes = [1] + [count_order_k(space, d) for d in range(1, 6)]
+            comments = re.findall(rf"^  // {letter}\((\d+)\) = (\d+)$", dot, re.M)
+            assert comments == [(str(d), str(c)) for d, c in enumerate(sizes)]
+            # a level-d node id is its path from the root: d dot-joined ops
+            nodes = dot_nodes(dot)
+            assert nodes[0] == ("nabla_-1", "-1")
+            levels = [node_id.count(".") + 1 for node_id, _ in nodes[1:]]
+            assert [1] + [levels.count(d) for d in range(1, 6)] == sizes
+            assert all(node_id.rpartition(".")[2] == label for node_id, label in nodes[1:])
 
     def test_root_children_are_first_order_operations(self):
-        tree = build_tree(build_space(3, "B"), 1)
-        assert tuple(c.op for c in tree.children) == (0, 1, 2, 3)
+        for family in ("A", "B"):
+            space = build_space(3, family)
+            for depth in (1, 3):
+                edges = dot_edges(export_tree_dot(space, depth))
+                children = [child for parent, child in edges if parent == "nabla_-1"]
+                assert children == [str(i) for i in space.ops]
+
+    def test_every_node_follows_its_parent(self):
+        for family, n, depth in (("A", 3, 6), ("B", 4, 4), ("B", 5, 4)):
+            dot = export_tree_dot(build_space(n, family), depth)
+            position = {node_id: pos for pos, (node_id, _) in enumerate(dot_nodes(dot))}
+            edges = dot_edges(dot)
+            assert len(edges) == len(position) - 1
+            assert all(position[parent] < position[child] for parent, child in edges)
+            assert all(parent == (child.rpartition(".")[0] or "nabla_-1") for parent, child in edges)
+
+
+def dot_nodes(dot):
+    """(id, label index) of every node line, in output order."""
+    return re.findall(r'^  "([^"]+)" \[label="∇_(-?\d+)"\];$', dot, re.M)
+
+
+def dot_edges(dot):
+    """(parent id, child id) of every edge line, in output order."""
+    return re.findall(r'^  "([^"]+)" -> "([^"]+)";$', dot, re.M)

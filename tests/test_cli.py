@@ -335,6 +335,28 @@ def test_verify_identities_golden_stdout(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
+# SHA-256 of stdout, computed while the walk tree was still built as an
+# object tree and written by recursion; the DOT export must stay
+# byte-identical.
+GOLDEN_DOT = {
+    ("enumerate", "--family", "b", "--dim", "3", "--order", "3", "--format", "dot"):
+        "fb7733d5974f0b90b16bea442d950066d554fdb1949fea4ea0220a8071caa498",
+    ("enumerate", "--family", "a", "--dim", "4", "--order", "3", "--format", "dot"):
+        "62d578684301068e9a97f2eac7fc58a7dd5482d8e94e0c9a57f50f307798e116",
+    ("enumerate", "--family", "b", "--dim", "5", "--order", "4", "--format", "dot"):
+        "fca70cb7c15b3dfc52cce5ff0c28bfc2f03ceec7fb0544b12f71837ab5f530a5",
+    ("enumerate", "--family", "a", "--dim", "3", "--order", "6", "--format", "dot"):
+        "63af5cc032a50314a2cbb3fe511344f95000cd71edc9e5cef69e741cd00c941b",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DOT))
+def test_dot_golden_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DOT[argv]
+
+
 class TestOeis:
     def test_single_id(self, capsys):
         code, out, _ = run(capsys, "oeis", "--id", "A020701")

@@ -40,6 +40,21 @@ class TestBuildSpace:
         space = build_space(5, "A")
         assert space.signatures[3] == (2, 2)
 
+    def test_equal_spaces_hash_equal(self):
+        assert build_space(5, "b") == build_space(5, Family.B)
+        assert hash(build_space(5, "b")) == hash(build_space(5, Family.B))
+        spaces = {build_space(n, family) for n in (3, 4, 3) for family in "ABab"}
+        assert len(spaces) == 4 and build_space(4, "A") in spaces
+        assert build_space(3, "A") != build_space(3, "B")
+
+    def test_signature_table_is_read_only(self):
+        space = build_space(3, "A")
+        with pytest.raises(TypeError):
+            space.signatures[1] = (0, 0)
+        with pytest.raises(TypeError):
+            del space.signatures[1]
+        assert space.signatures == {1: (0, 1), 2: (1, 1), 3: (1, 0)}
+
     @pytest.mark.parametrize("n", [0, 1, 2, -3])
     def test_low_dimension_rejected(self, n):
         with pytest.raises(InvalidDimensionError):

@@ -2,7 +2,10 @@
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from diffops.cli import main
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -25,3 +28,23 @@ def test_library_example_runs_and_gives_its_commented_values():
         assert value == expected, lines[stmt.end_lineno - 1]
         checked.append(expected)
     assert checked == [2048, "λ^4 - 2λ^3", True]
+
+
+def test_cli_examples_run_and_give_their_commented_values(capsys):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    (block,) = [b for b in blocks if b.startswith("diffops ")]
+    checked = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "diffops", line
+        if "--online" in argv:  # would reach the network
+            continue
+        if ">" in argv:
+            argv = argv[: argv.index(">")]
+        assert main(argv[1:]) == 0, line
+        first = capsys.readouterr().out.partition("\n")[0]
+        # a comment that opens with the first output line states it
+        if comment.split(",")[0].strip() == first:
+            checked.append(first)
+    assert checked == ["8", "λ^4 - 2λ^3", "f(k) = 3 f(k-2) - f(k-4)"]
