@@ -101,12 +101,6 @@ class IntPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
 
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "IntPolynomial":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        return cls([0] * exp + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -169,12 +163,6 @@ class IntPolynomial:
         if self.is_zero:
             return self
         return IntPolynomial((0,) * t + self.coeffs)
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self) -> str:
         return format_poly(self)

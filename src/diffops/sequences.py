@@ -1,11 +1,10 @@
 """Linear recurrences for the counting sequences and OEIS cross-checks.
 
-A monic characteristic polynomial λ^d + a_1 λ^(d-1) + ... + a_d of an
-adjacency matrix yields the recurrence term(k) = -a_1 term(k-1) - ... -
-a_d term(k-d), valid for k > d. Factors of λ (trailing zero
-coefficients) are trimmed only while the shortened recurrence still
-annihilates the computed terms, so the published minimal-looking rows
-are recovered without ever assuming minimality.
+The counting sequence of a space obeys the recurrence of its adjacency
+matrix's characteristic polynomial with every factor λ stripped: a monic
+λ^d - c_1 λ^(d-1) - ... - c_d with c_d != 0 gives term(k) = c_1
+term(k-1) + ... + c_d term(k-d) for every k > d. derive_recurrence
+proves this for every n, so no term is computed to decide it.
 """
 
 from __future__ import annotations
@@ -39,12 +38,6 @@ OEIS_IDS = {
     (Family.B, 9): "A020714",
     (Family.B, 10): "A129638",
 }
-
-# The classic sequences keep their canonical database terms (a * 2^i from
-# i = 0); everything else is generated directly from the counts, matching
-# the database's offset-1 listings. Either way the fixture content is
-# reproducible from this table, never transcribed by hand.
-_GEOMETRIC_FIXTURES = {"A000079": 1, "A007283": 3, "A020714": 5}
 
 _ALIGNMENT_WINDOW = 3
 _MIN_OVERLAP = 10
@@ -86,34 +79,44 @@ class OeisComparison:
     source: str  # "fixtures" | "online" | "offline-fallback"
 
 
-def _annihilates(coeffs: Sequence[int], terms: Sequence[int]) -> bool:
-    order = len(coeffs)
-    spec = RecurrenceSpec(order, tuple(coeffs))
-    return all(spec.applies(terms, k) for k in range(order + 1, len(terms) + 1))
-
-
-def _counts(space: OperationSpace, num_terms: int) -> tuple[int, ...]:
-    """Composition counts for k = 1..num_terms, from one walk-kernel pass."""
-    return tuple(sum(vec) for vec in walk_vectors(space, num_terms))
-
-
-def _derive(space: OperationSpace, num_terms: int) -> tuple[RecurrenceSpec, tuple[int, ...]]:
-    """The derived recurrence and the counts for k = 1..max(num_terms, d + 25)
-    from one kernel pass; the first d + 25 counts decide the trimming."""
-    p = walk_char_poly(space)
-    d = p.degree
-    full = tuple(-p.coefficient(d - i) for i in range(1, d + 1))
-    terms = _counts(space, max(num_terms, d + 25))
-    coeffs = full
-    while len(coeffs) > 1 and coeffs[-1] == 0 and _annihilates(coeffs[:-1], terms[: d + 25]):
-        coeffs = coeffs[:-1]
-    return RecurrenceSpec(len(coeffs), coeffs), terms
-
-
 def derive_recurrence(space: OperationSpace) -> RecurrenceSpec:
-    """Read the recurrence off the monic characteristic polynomial and
-    trim trailing zero coefficients while verification still passes."""
-    return _derive(space, 0)[0]
+    """The recurrence of the characteristic polynomial p = det(λI - M) with
+    every factor λ stripped; it holds for every k past its order.
+
+    Notation: N operations, r = m + 1 function sets, C[i][s] = [cod(ops[i])
+    = s] (N×r), D[s][j] = [dom(ops[j]) = s] (r×N), so the adjacency matrix
+    is M = C·D and count_k = 1ᵀM^(k-1)1. The set matrix T = D·C (r×r)
+    counts in T[s][t] the operations from A_s to A_t.
+
+    - Every operation has one domain and one codomain, so 1ᵀC = 1ᵀT,
+      D1 = T1 and N = 1ᵀT1. Since M^(t+1) = C·T^t·D, every polynomial h
+      gives 1ᵀh(M)1 = 1ᵀ·T·h(T)·1; h = λ^(k-1) gives count_k = 1ᵀT^k1.
+    - By the signature table, nabla_s maps A_(s-1) to A_s and
+      nabla_(n+1-s) maps A_s to A_(s-1) for s = 1..m; the only loops are
+      nabla_0 on A_0 (family B) and nabla_(m+1) on A_m (odd n). So T is a
+      Jacobi matrix: symmetric and tridiagonal with unit off-diagonals.
+      Its eigenvalues are simple: for any μ, deleting the first row and
+      the last column of T - μI leaves a triangular matrix with unit
+      diagonal, so μ has at most a one-dimensional eigenspace, and T is
+      symmetric, so diagonalisable.
+    - By Sylvester's identity p = λ^(N-r)·q with q = det(λI - T)
+      (walk_char_poly). The root 0 of q is at most simple, so q = λ^z·q'
+      with z <= 1 and q'(0) != 0, and stripping every λ from p leaves q'.
+      T·q'(T) = 0 in both cases: it is T·q(T) or q(T), and q(T) = 0 by
+      Cayley-Hamilton.
+    - Hence 1ᵀM^j q'(M)1 = 1ᵀT^j·(T·q'(T))·1 = 0 for every j >= 0. With
+      q' = λ^d - c_1 λ^(d-1) - ... - c_d this reads count_k = c_1
+      count_(k-1) + ... + c_d count_(k-d) for every k > d (k = j + d + 1).
+
+    The rule equals trimming trailing zero coefficients off p's
+    recurrence while the shorter one still fits the computed counts: each
+    λ^i·q' is the same relation shifted, so it fits, and q' ends the trim
+    because c_d = -q'(0) != 0. tests/test_sequences.py keeps that sampled
+    trim as the oracle.
+    """
+    coeffs = walk_char_poly(space).coeffs  # lowest degree first, monic
+    q = coeffs[next(i for i, c in enumerate(coeffs) if c):]
+    return RecurrenceSpec(len(q) - 1, tuple(-c for c in reversed(q[:-1])))
 
 
 def verify_recurrence(record: SequenceRecord, upto_k: int) -> bool:
@@ -132,11 +135,12 @@ def verify_recurrence(record: SequenceRecord, upto_k: int) -> bool:
 
 
 def make_record(family, n: int, num_terms: int = 30) -> SequenceRecord:
-    """Build a sequence record with computed terms and derived recurrence."""
+    """Build a sequence record: the counts for k = 1..num_terms from one
+    walk (none when num_terms < 1) and the derived recurrence."""
     fam = Family.coerce(family)
     space = build_space(n, fam)
-    recurrence, terms = _derive(space, num_terms)
-    return SequenceRecord(fam, n, terms[: max(num_terms, 0)], recurrence, OEIS_IDS.get((fam, n)))
+    terms = tuple(sum(vec) for vec in walk_vectors(space, num_terms)) if num_terms > 0 else ()
+    return SequenceRecord(fam, n, terms, derive_recurrence(space), OEIS_IDS.get((fam, n)))
 
 
 def recurrence_table(family, n_from: int = 3, n_to: int = 10) -> list[RecurrenceSpec]:
@@ -176,18 +180,6 @@ def id_associations(sequence_id: str) -> list[tuple[Family, int]]:
     return [key for key, sid in OEIS_IDS.items() if sid == sequence_id]
 
 
-def generate_fixture_terms(sequence_id: str, count: int = 40) -> list[int]:
-    """Reference terms for one sequence id, generated rather than typed in."""
-    if sequence_id in _GEOMETRIC_FIXTURES:
-        a = _GEOMETRIC_FIXTURES[sequence_id]
-        return [a * 2**i for i in range(count)]
-    pairs = id_associations(sequence_id)
-    if not pairs:
-        raise FixtureError(f"unknown sequence id {sequence_id!r}")
-    fam, n = pairs[0]
-    return list(_counts(build_space(n, fam), count))
-
-
 def default_fixtures_dir() -> Path:
     override = os.environ.get(ENV_FIXTURES_DIR)
     if override:
@@ -213,19 +205,6 @@ def load_fixture(sequence_id: str, fixtures_dir=None) -> list[int]:
         return [int(t) for t in lines[1].split(",")]
     except ValueError as exc:
         raise FixtureError(f"malformed fixture terms in {path}: {exc}") from None
-
-
-def write_fixtures(directory, count: int = 40) -> list[Path]:
-    """Regenerate every fixture file into the given directory."""
-    base = Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    written = []
-    for sid in fixture_ids():
-        terms = generate_fixture_terms(sid, count)
-        path = base / f"{sid}.txt"
-        path.write_text(sid + "\n" + ",".join(str(t) for t in terms) + "\n", encoding="utf-8", newline="\n")
-        written.append(path)
-    return written
 
 
 def parse_bfile(text: str) -> list[int]:

@@ -148,13 +148,6 @@ class Poly3:
             out[tuple(d)] = c * e[i]
         return Poly3._of(out)
 
-    def evaluate(self, point) -> Fraction:
-        p = tuple(Fraction(x) for x in point)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
-        return total
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

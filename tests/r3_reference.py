@@ -1,4 +1,5 @@
-"""Rational reference fields and a second route for div grad on R^3.
+"""Rational reference fields, point evaluation and a second route for
+div grad on R^3.
 
 The identity suite draws its fields as 6 × random_poly3 in integers
 (symcalc3._random_int_poly3); the tests compare it against these
@@ -39,3 +40,13 @@ def laplacian_direct(f):
             key = tuple(d)
             out[key] = out.get(key, Fraction(0)) + c * e[i] * (e[i] - 1)
     return Poly3(out)
+
+
+def evaluate(f, point):
+    """The exact value of f at a point; float coordinates are converted
+    exactly, so only the caller's rounding enters a numeric check."""
+    p = tuple(Fraction(x) for x in point)
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        total += c * p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
+    return total

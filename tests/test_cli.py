@@ -135,6 +135,20 @@ def test_out_of_range_arguments_exit_2_with_one_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("oeis", "--id", "A000079", "--terms", "0"), "record holds 0 terms, need at least 10"),
+        (("oeis", "--id", "A000079", "--terms", "-3"), "record holds 0 terms, need at least 10"),
+        (("recurrence", "--family", "a", "--dim", "3", "--upto", "0"),
+         "nothing to verify: need upto_k > recurrence order 2, got 0"),
+    ],
+)
+def test_empty_term_ranges_exit_2_with_their_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv,lines",
     [
         (("count", "--family", "a", "--dim", "20000", "--order", "2"), ["39998"]),

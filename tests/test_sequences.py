@@ -1,7 +1,7 @@
 import pytest
 
 from diffops.errors import FixtureError, InsufficientTermsError, InvalidArgumentError
-from diffops.exactalg import count_order_k
+from diffops.exactalg import count_order_k, walk_char_poly, walk_vectors
 from diffops.opgraph import Family, build_space
 from diffops import sequences
 from diffops.sequences import (
@@ -11,7 +11,6 @@ from diffops.sequences import (
     derive_recurrence,
     fixture_ids,
     format_recurrence,
-    generate_fixture_terms,
     id_associations,
     load_fixture,
     make_record,
@@ -19,8 +18,9 @@ from diffops.sequences import (
     parse_bfile,
     recurrence_table,
     verify_recurrence,
-    write_fixtures,
 )
+
+from fixture_terms import generate_fixture_terms, write_fixtures
 
 # Reference recurrence coefficients for n = 3..10, frozen for comparison.
 TABLE_A = {
@@ -63,6 +63,76 @@ class TestDeriveRecurrence:
             for n in range(3, 11):
                 spec = derive_recurrence(build_space(n, family))
                 assert spec.order == len(spec.coefficients)
+
+
+def _annihilates(coeffs, terms):
+    spec = RecurrenceSpec(len(coeffs), tuple(coeffs))
+    return all(spec.applies(terms, k) for k in range(spec.order + 1, len(terms) + 1))
+
+
+def sampled_trim(space):
+    """The sampled rule derive_recurrence replaced: take the recurrence of
+    the full characteristic polynomial (degree d) and drop trailing zero
+    coefficients while the shorter one still fits the first d + 25 counts."""
+    p = walk_char_poly(space)
+    d = p.degree
+    coeffs = tuple(-p.coefficient(d - i) for i in range(1, d + 1))
+    terms = [sum(vec) for vec in walk_vectors(space, d + 25)]
+    while len(coeffs) > 1 and coeffs[-1] == 0 and _annihilates(coeffs[:-1], terms):
+        coeffs = coeffs[:-1]
+    return RecurrenceSpec(len(coeffs), coeffs)
+
+
+def set_matrix(space):
+    """T[s][t]: the number of operations from A_s to A_t."""
+    r = space.m + 1
+    T = [[0] * r for _ in range(r)]
+    for dom, cod in space.signatures.values():
+        T[dom][cod] += 1
+    return T
+
+
+class TestRecurrenceProof:
+    @pytest.mark.parametrize("family", ["A", "B"])
+    def test_equals_sampled_trim(self, family):
+        for n in range(3, 41):
+            space = build_space(n, family)
+            assert derive_recurrence(space) == sampled_trim(space), n
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    def test_holds_far_past_the_sample(self, family):
+        for n in range(3, 41):
+            space = build_space(n, family)
+            spec = derive_recurrence(space)
+            assert spec.coefficients[-1] != 0
+            terms = [sum(vec) for vec in walk_vectors(space, walk_char_poly(space).degree + 200)]
+            assert _annihilates(spec.coefficients, terms), n
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_set_matrix_is_jacobi(self, family, n):
+        space = build_space(n, family)
+        T = set_matrix(space)
+        r = space.m + 1
+        for s in range(r):
+            for t in range(r):
+                if s != t:
+                    assert T[s][t] == int(abs(s - t) == 1), (s, t)
+        loops = [T[s][s] for s in range(r)]
+        expected = [0] * r
+        expected[0] += family == "B"
+        expected[-1] += n % 2
+        assert loops == expected
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_counts_are_set_matrix_power_sums(self, family, n):
+        space = build_space(n, family)
+        T = set_matrix(space)
+        power = T
+        for k in range(1, 41):
+            assert sum(map(sum, power)) == count_order_k(space, k), k
+            power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*T)] for row in power]
 
 
 class TestVerifyRecurrence:
