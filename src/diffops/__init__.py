@@ -19,7 +19,7 @@ from .closedform import (
     check_charpoly_recurrence,
     count_closed_form_r3,
 )
-from .exactalg import IntMatrix, IntPolynomial, char_poly, count_order_k, walk_char_poly, walk_vectors
+from .exactalg import IntPolynomial, count_order_k, walk_char_poly, walk_vectors
 from .opgraph import Family, OperationSpace, build_space
 from .sequences import RecurrenceSpec, SequenceRecord, derive_recurrence, oeis_compare, recurrence_table, verify_recurrence
 from .symcalc3 import Direction, Poly3, VecField3, compose_and_check, curl, direction, div, gateaux, grad, verify_identities
@@ -30,7 +30,6 @@ __all__ = [
     "CompositionChain",
     "Direction",
     "Family",
-    "IntMatrix",
     "IntPolynomial",
     "OperationSpace",
     "PerStartCounts",
@@ -40,7 +39,6 @@ __all__ = [
     "VecField3",
     "build_space",
     "chain_name",
-    "char_poly",
     "charpoly_a_closed",
     "charpoly_b_closed",
     "check_bridge_identity",

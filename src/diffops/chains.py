@@ -78,10 +78,9 @@ def enumerate_chains(
     instead of hanging. Chains grow to the right, through the operations
     that may be applied just before the first-applied one, in ascending
     order; prefixes in lexicographic order, each extended by ascending
-    suffixes, stay in that order.
+    suffixes, stay in that order. k < 1 raises InvalidOrderError from the
+    count.
     """
-    if k < 1:
-        raise InvalidOrderError(f"composition order must be >= 1, got {k}")
     _check_cap(count_order_k(space, k), cap)
     before = _adjacent(space, space.cod, space.dom)
     found = [(i,) for i in space.ops]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ComputationError, InvalidDimensionError
+from .errors import ComputationError, InvalidArgumentError, InvalidDimensionError, InvalidOrderError
 from .exactalg import IntPolynomial, walk_char_poly
 from .opgraph import Family, build_space
 
@@ -150,7 +150,7 @@ def check_bridge_identity(n: int) -> bool:
 def fibonacci(m: int) -> int:
     """Fibonacci numbers with F(1) = F(2) = 1."""
     if m < 1:
-        raise ValueError(f"Fibonacci index must be >= 1, got {m}")
+        raise InvalidArgumentError(f"Fibonacci index must be >= 1, got {m}")
     a, b = 1, 1
     for _ in range(m - 1):
         a, b = b, a + b
@@ -161,7 +161,7 @@ def count_closed_form_r3(k: int, family) -> int:
     """Closed-form composition counts in three dimensions:
     family A gives F(k+3), family B gives 2^(k+1)."""
     if k < 1:
-        raise ValueError(f"composition order must be >= 1, got {k}")
+        raise InvalidOrderError(f"composition order must be >= 1, got {k}")
     fam = Family.coerce(family)
     if fam is Family.A:
         return fibonacci(k + 3)

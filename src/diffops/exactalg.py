@@ -14,75 +14,6 @@ from typing import Iterable, Iterator
 from .errors import ComputationError, InvalidOrderError
 
 
-class IntMatrix:
-    """Immutable square matrix with exact integer entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        frozen = tuple(tuple(int(x) for x in row) for row in rows)
-        order = len(frozen)
-        if order == 0 or any(len(row) != order for row in frozen):
-            raise ValueError("matrix must be square and non-empty")
-        object.__setattr__(self, "rows", frozen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, order: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(order)] for i in range(order)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.rows]})"
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_order(other)
-        return IntMatrix(
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix([x * other for x in row] for row in self.rows)
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        self._check_same_order(other)
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            [sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows
-        )
-
-    def __pow__(self, e: int) -> "IntMatrix":
-        if e < 0:
-            raise ValueError("negative matrix power")
-        result = IntMatrix.identity(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.order))
-
-    def _check_same_order(self, other: "IntMatrix") -> None:
-        if self.order != other.order:
-            raise ValueError("matrix orders differ")
-
-
 class IntPolynomial:
     """Dense univariate polynomial with integer coefficients.
 
@@ -238,22 +169,22 @@ def walk_char_poly(space) -> IntPolynomial:
     T = [[0] * r for _ in range(r)]
     for dom, cod in space.signatures.values():
         T[dom][cod] += 1
-    return char_poly(IntMatrix(T)).shifted(space.order() - r)
+    return _faddeev_leverrier(T).shifted(space.order() - r)
 
 
-def char_poly(M: IntMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(λI - M), exactly.
+def _faddeev_leverrier(T: list[list[int]]) -> IntPolynomial:
+    """Monic det(λI - T) of a square integer matrix, given by its rows.
 
-    Uses the trace recursion (Faddeev-LeVerrier): every intermediate
-    matrix stays integral and the only divisions are trace/k, which must
-    be exact for an integer matrix. Divisibility is asserted, never
+    Trace recursion: N_1 = T, c_k = -tr(N_k)/k, N_(k+1) = T·N_k + c_k·T.
+    Every N_k stays integral and the only divisions are trace/k, which
+    must be exact for an integer matrix. Divisibility is asserted, never
     rounded; a failure means a bug and aborts loudly.
     """
-    d = M.order
+    d = len(T)
     coeffs_high = [1]
-    Mk = M
+    N = T
     for k in range(1, d + 1):
-        t = Mk.trace()
+        t = sum(N[i][i] for i in range(d))
         if t % k != 0:
             raise ComputationError(
                 f"non-integral characteristic coefficient at step {k}: trace {t}"
@@ -261,5 +192,9 @@ def char_poly(M: IntMatrix) -> IntPolynomial:
         c = -(t // k)
         coeffs_high.append(c)
         if k < d:
-            Mk = M * (Mk + IntMatrix.identity(d) * c)
+            cols = list(zip(*N))
+            N = [
+                [sum(a * b for a, b in zip(row, col)) + c * x for col, x in zip(cols, row)]
+                for row in T
+            ]
     return IntPolynomial(reversed(coeffs_high))

@@ -180,22 +180,17 @@ def id_associations(sequence_id: str) -> list[tuple[Family, int]]:
     return [key for key, sid in OEIS_IDS.items() if sid == sequence_id]
 
 
-def default_fixtures_dir() -> Path:
-    override = os.environ.get(ENV_FIXTURES_DIR)
-    if override:
-        return Path(override)
-    return Path(str(resources.files(__package__).joinpath("fixtures")))
+def fixture_path(sequence_id: str) -> Path:
+    """The id's fixture file, in the directory named by DIFFOPS_FIXTURES
+    if that is set, else among the fixtures bundled with the package."""
+    base = os.environ.get(ENV_FIXTURES_DIR) or resources.files(__package__).joinpath("fixtures")
+    return Path(str(base)) / f"{sequence_id}.txt"
 
 
-def fixture_path(sequence_id: str, fixtures_dir=None) -> Path:
-    base = Path(fixtures_dir) if fixtures_dir is not None else default_fixtures_dir()
-    return base / f"{sequence_id}.txt"
-
-
-def load_fixture(sequence_id: str, fixtures_dir=None) -> list[int]:
+def load_fixture(sequence_id: str) -> list[int]:
     """Read one fixture file: id on the first line, comma-separated terms
     on the second."""
-    path = fixture_path(sequence_id, fixtures_dir)
+    path = fixture_path(sequence_id)
     if not path.is_file():
         raise FixtureError(f"no fixture for sequence id {sequence_id!r} at {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -264,9 +259,7 @@ def _best_alignment(terms: Sequence[int], ref: Sequence[int]):
     return None
 
 
-def oeis_compare(
-    record: SequenceRecord, mode: str = "offline", fixtures_dir=None
-) -> OeisComparison:
+def oeis_compare(record: SequenceRecord, mode: str = "offline") -> OeisComparison:
     """Compare a record's terms against the database sequence it cites.
 
     Offsets in the database differ from k = 1 indexing by small constants,
@@ -293,7 +286,7 @@ def oeis_compare(
             ref = None
             source = "offline-fallback"
     if ref is None:
-        ref = load_fixture(record.oeis_id, fixtures_dir)
+        ref = load_fixture(record.oeis_id)
 
     found = _best_alignment(record.terms, ref)
     if found is None:

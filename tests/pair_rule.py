@@ -7,7 +7,6 @@ and in family B also for (0, 0) and (n, 0).
 """
 
 from diffops.errors import InvalidOperationError
-from diffops.exactalg import IntMatrix
 from diffops.opgraph import Family
 
 
@@ -43,7 +42,7 @@ def cayley(family, n):
 
 def adjacency_matrix(space):
     """The space's d×d 0/1 adjacency matrix, built from the rule."""
-    return IntMatrix([[int(cell) for cell in row] for row in cayley(space.family, space.n)])
+    return tuple(tuple(int(cell) for cell in row) for row in cayley(space.family, space.n))
 
 
 def is_meaningful(space, ops):

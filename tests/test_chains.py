@@ -130,7 +130,7 @@ class TestEnumerationMechanics:
         assert "67108864" in str(err.value)
 
     def test_order_below_one_rejected(self):
-        with pytest.raises(InvalidOrderError):
+        with pytest.raises(InvalidOrderError, match=r"^composition order must be >= 1, got 0$"):
             enumerate_chains(build_space(3, "A"), 0)
 
 

@@ -11,7 +11,7 @@ from diffops.closedform import (
     count_closed_form_r3,
     fibonacci,
 )
-from diffops.errors import InvalidDimensionError
+from diffops.errors import DiffOpsError, InvalidArgumentError, InvalidDimensionError, InvalidOrderError
 from diffops.exactalg import count_order_k
 from diffops.opgraph import build_space
 
@@ -34,7 +34,8 @@ class TestClosedFormA:
         with pytest.raises(InvalidDimensionError):
             charpoly_a_closed(2)
 
-    @pytest.mark.parametrize("n", range(3, 31))
+    # up to 48, as far as the closed_form requests of benchmarks/workloads.py go
+    @pytest.mark.parametrize("n", range(3, 49))
     def test_matches_computed(self, n):
         assert charpoly_a_closed(n) == charpoly_computed(n, "A")
 
@@ -50,7 +51,8 @@ class TestClosedFormB:
         with pytest.raises(InvalidDimensionError):
             charpoly_b_closed(2)
 
-    @pytest.mark.parametrize("n", range(3, 31))
+    # up to 48, as far as the closed_form requests of benchmarks/workloads.py go
+    @pytest.mark.parametrize("n", range(3, 49))
     def test_matches_computed(self, n):
         assert charpoly_b_closed(n) == charpoly_computed(n, "B")
 
@@ -110,6 +112,18 @@ class TestBridge:
 class TestCountClosedForms:
     def test_fibonacci_convention(self):
         assert [fibonacci(m) for m in range(1, 9)] == [1, 1, 2, 3, 5, 8, 13, 21]
+
+    # Both subclass ValueError too, so `except ValueError` callers still work.
+    def test_fibonacci_index_below_one_is_an_invalid_argument(self):
+        with pytest.raises(InvalidArgumentError, match="Fibonacci index must be >= 1, got 0") as err:
+            fibonacci(0)
+        assert isinstance(err.value, DiffOpsError) and isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    def test_order_below_one_is_an_invalid_order(self, family):
+        with pytest.raises(InvalidOrderError, match="composition order must be >= 1, got 0") as err:
+            count_closed_form_r3(0, family)
+        assert isinstance(err.value, DiffOpsError) and isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize(
         "family,k,expected",

@@ -138,7 +138,7 @@ def test_signatures_agree_with_relation(family, n):
     space = build_space(n, family)
     assert space.ops == rule_ops(family, n)
     assert cayley_table(space) == cayley(family, n)
-    assert space.adjacency_rows() == adjacency_matrix(space).rows
+    assert space.adjacency_rows() == adjacency_matrix(space)
 
 
 @pytest.mark.parametrize("n", range(3, 13))

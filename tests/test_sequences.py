@@ -242,10 +242,12 @@ class TestFixtures:
             terms = load_fixture(sid)
             assert len(terms) >= 20
 
-    def test_bundled_content_equals_regenerated(self, tmp_path):
+    def test_bundled_content_equals_regenerated(self, tmp_path, monkeypatch):
         write_fixtures(tmp_path)
-        for sid in fixture_ids():
-            assert load_fixture(sid) == load_fixture(sid, tmp_path)
+        monkeypatch.delenv(sequences.ENV_FIXTURES_DIR, raising=False)
+        bundled = {sid: load_fixture(sid) for sid in fixture_ids()}
+        monkeypatch.setenv(sequences.ENV_FIXTURES_DIR, str(tmp_path))
+        assert {sid: load_fixture(sid) for sid in fixture_ids()} == bundled
 
     def test_fixture_file_format(self):
         path = sequences.fixture_path("A020701")
