@@ -1,9 +1,12 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 internal error (including a failed verification
-report), 2 invalid arguments, 3 a cap exceeded (the enumeration cap, or the
-interpreter's limit on the decimal digits of a printed integer). Big integers
-are serialized as decimal strings in JSON so exactness survives beyond
+Each subcommand returns its exit code and one result document, the dict
+that `--format json` prints (`--format dot`: the DOT text); the text and
+CSV forms are renderings of that document alone. Exit codes: 0 success,
+1 internal error (including a failed verification report), 2 invalid
+arguments, 3 a cap exceeded (the enumeration cap, or the interpreter's
+limit on the decimal digits of a printed integer). Big integers are
+serialized as decimal strings in JSON so exactness survives beyond
 double-precision range; identical flags (including the seed) always
 produce byte-identical output.
 """
@@ -15,15 +18,10 @@ import csv
 import json
 import sys
 
-from .chains import DEFAULT_CAP, PerStartCounts, chain_name, enumerate_chains, export_tree_dot
+from .chains import DEFAULT_CAP, chain_name, enumerate_chains, export_tree_dot
 from .closedform import closed_form_result
 from .errors import (
-    CapError,
-    DiffOpsError,
-    DigitLimitError,
-    InvalidArgumentError,
-    InvalidOperationError,
-    UsageError,
+    CapError, DiffOpsError, DigitLimitError, InvalidArgumentError, InvalidOperationError, UsageError,
 )
 from .exactalg import format_poly, walk_vectors
 from .opgraph import Family, build_space
@@ -58,15 +56,11 @@ def _dims(value: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad dimension range {value!r}, expected N or N..M") from None
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
 def _count_symbol(family: Family) -> str:
     return "f" if family is Family.A else "g"
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     space = build_space(args.dim, args.family)
     # Per-start counts never exceed the total, so checking it covers them.
     # A limit of 0, or an interpreter older than 3.10.7, means no limit.
@@ -78,201 +72,169 @@ def cmd_count(args) -> int:
     for k, vec in enumerate(walk_vectors(space, args.order), 1):
         if limit and (k & (k - 1) == 0 or k == args.order) and sum(vec) >= 10**limit:
             raise DigitLimitError(f"the count at order {args.order}", limit)
-    ps = PerStartCounts(args.order, dict(zip(space.ops, vec)))
-    payload = {
+    doc = {
         "command": "count",
         "family": space.family.value,
         "dim": space.n,
         "order": args.order,
-        "count": str(ps.total),
+        "count": str(sum(vec)),
     }
     if args.per_start:
-        payload["per_start"] = {str(i): str(c) for i, c in ps.counts.items()}
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(ps.total)
-        if args.per_start:
-            for i, c in ps.counts.items():
-                print(f"∇_{i}: {c}")
-    return 0
+        doc["per_start"] = {str(i): str(c) for i, c in zip(space.ops, vec)}
+    return 0, doc
 
 
-def cmd_enumerate(args) -> int:
+def text_count(doc):
+    yield doc["count"]
+    for i, c in doc.get("per_start", {}).items():
+        yield f"∇_{i}: {c}"
+
+
+def cmd_enumerate(args):
     if args.mark_zeros and args.dim != 3:
         raise InvalidOperationError("zero marking is only available for dimension 3")
     if args.mark_zeros and args.format == "dot":
         raise InvalidArgumentError("zero marking is not available for DOT output")
     space = build_space(args.dim, args.family)
     if args.format == "dot":
-        sys.stdout.write(export_tree_dot(space, args.order, args.cap))
-        return 0
+        return 0, export_tree_dot(space, args.order, args.cap)
     chains = enumerate_chains(space, args.order, args.cap)
     if args.mark_zeros:
         chains = fill_vanishing(chains)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "enumerate",
-                "family": space.family.value,
-                "dim": space.n,
-                "order": args.order,
-                "count": str(len(chains)),
-                "chains": [
-                    {
-                        "ops": list(c.ops),
-                        "name": chain_name(c, space.n),
-                        "signature": list(c.signature),
-                        "vanishes_identically": c.vanishes_identically,
-                    }
-                    for c in chains
-                ],
-            }
-        )
-    else:
-        for c in chains:
-            line = chain_name(c, space.n)
-            if c.vanishes_identically:
-                line += " = 0⃗" if c.signature[1] == 1 else " = 0"
-            print(line)
-    return 0
+    # one row at a time: text output streams, JSON output lists them all
+    rows = (
+        {
+            "ops": list(c.ops),
+            "name": chain_name(c, space.n),
+            "signature": list(c.signature),
+            "vanishes_identically": c.vanishes_identically,
+        }
+        for c in chains
+    )
+    return 0, {
+        "command": "enumerate",
+        "family": space.family.value,
+        "dim": space.n,
+        "order": args.order,
+        "count": str(len(chains)),
+        "chains": rows,
+    }
 
 
-def cmd_charpoly(args) -> int:
+def text_enumerate(doc):
+    for c in doc["chains"]:
+        zero = " = 0⃗" if c["signature"][1] == 1 else " = 0"
+        yield c["name"] + zero if c["vanishes_identically"] else c["name"]
+
+
+def cmd_charpoly(args):
     res = closed_form_result(args.dim, args.family)
-    computed = res.computed
-    match = "match" if res.matched_computed else "MISMATCH"
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "charpoly",
-                "family": res.family.value,
-                "dim": res.n,
-                "degree": computed.degree,
-                "coefficients": [str(c) for c in computed.coeffs],
-                "display": format_poly(computed),
-                "closed_form_match": res.matched_computed,
-            }
-        )
-    else:
-        print(format_poly(computed))
-        print(f"closed form: {match}")
-    return 0 if res.matched_computed else 1
+    return 0 if res.matched_computed else 1, {
+        "command": "charpoly",
+        "family": res.family.value,
+        "dim": res.n,
+        "degree": res.computed.degree,
+        "coefficients": [str(c) for c in res.computed.coeffs],
+        "display": format_poly(res.computed),
+        "closed_form_match": res.matched_computed,
+    }
 
 
-def cmd_recurrence(args) -> int:
+def text_charpoly(doc):
+    yield doc["display"]
+    yield f"closed form: {'match' if doc['closed_form_match'] else 'MISMATCH'}"
+
+
+def cmd_recurrence(args):
     record = make_record(args.family, args.dim, num_terms=args.upto)
     spec = record.recurrence
     verified = verify_recurrence(record, args.upto)
-    symbol = _count_symbol(record.family)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "recurrence",
-                "family": record.family.value,
-                "dim": record.n,
-                "order": spec.order,
-                "coefficients": [str(c) for c in spec.coefficients],
-                "formula": format_recurrence(spec, symbol),
-                "verified_upto": args.upto,
-                "verified": verified,
-            }
-        )
-    else:
-        print(format_recurrence(spec, symbol))
-        print(f"coefficients: {list(spec.coefficients)}")
-        print(f"verified against computed terms up to k={args.upto}: {'yes' if verified else 'NO'}")
-    return 0 if verified else 1
+    return 0 if verified else 1, {
+        "command": "recurrence",
+        "family": record.family.value,
+        "dim": record.n,
+        "order": spec.order,
+        "coefficients": [str(c) for c in spec.coefficients],
+        "formula": format_recurrence(spec, _count_symbol(record.family)),
+        "verified_upto": args.upto,
+        "verified": verified,
+    }
 
 
-def cmd_table(args) -> int:
+def text_recurrence(doc):
+    yield doc["formula"]
+    yield f"coefficients: [{', '.join(doc['coefficients'])}]"
+    yield (
+        f"verified against computed terms up to k={doc['verified_upto']}: "
+        f"{'yes' if doc['verified'] else 'NO'}"
+    )
+
+
+def cmd_table(args):
     lo, hi = args.dims
     families = [Family.A, Family.B] if args.family is None else [args.family]
-    rows = [
-        (fam, n, spec)
-        for fam in families
-        for n, spec in zip(range(lo, hi + 1), recurrence_table(fam, lo, hi))
-    ]
-    if args.format == "json":
-        _emit_json(
+    return 0, {
+        "command": "table",
+        "rows": [
             {
-                "command": "table",
-                "rows": [
-                    {
-                        "family": fam.value,
-                        "n": n,
-                        "order": spec.order,
-                        "coefficients": [str(c) for c in spec.coefficients],
-                        "formula": format_recurrence(spec, _count_symbol(fam)),
-                    }
-                    for fam, n, spec in rows
-                ],
+                "family": fam.value,
+                "n": n,
+                "order": spec.order,
+                "coefficients": [str(c) for c in spec.coefficients],
+                "formula": format_recurrence(spec, _count_symbol(fam)),
             }
-        )
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["family", "n", "order", "coefficients", "formula"])
-        for fam, n, spec in rows:
-            writer.writerow(
-                [
-                    fam.value,
-                    n,
-                    spec.order,
-                    " ".join(str(c) for c in spec.coefficients),
-                    format_recurrence(spec, _count_symbol(fam)),
-                ]
-            )
-    else:
-        for fam, n, spec in rows:
-            print(f"{fam.value}  n={n:<3} {format_recurrence(spec, _count_symbol(fam))}")
-    return 0
+            for fam in families
+            for n, spec in zip(range(lo, hi + 1), recurrence_table(fam, lo, hi))
+        ],
+    }
 
 
-def cmd_verify_identities(args) -> int:
+def text_table(doc):
+    for r in doc["rows"]:
+        yield f"{r['family']}  n={r['n']:<3} {r['formula']}"
+
+
+def csv_table(doc):
+    yield ["family", "n", "order", "coefficients", "formula"]
+    for r in doc["rows"]:
+        yield [r["family"], r["n"], r["order"], " ".join(r["coefficients"]), r["formula"]]
+
+
+def cmd_verify_identities(args):
     report = verify_identities(trials=args.trials, max_degree=args.degree, seed=args.seed)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "verify-identities",
-                "trials": report.trials,
-                "max_degree": report.max_degree,
-                "seed": report.seed,
-                "zero_identities": [
-                    {
-                        "ops": list(c.ops),
-                        "name": c.name,
-                        "holds": c.holds,
-                    }
-                    for c in report.zero_checks
-                ],
-                "nonzero_witnesses": [
-                    {
-                        "ops": list(c.ops),
-                        "name": c.name,
-                        "witnessed": c.witnessed,
-                    }
-                    for c in report.witness_checks
-                ],
-                "passed": report.passed,
-            }
-        )
-    else:
-        print(
-            f"{report.zero_held}/{len(report.zero_checks)} zero-identities hold "
-            f"(trials={report.trials}, max degree={report.max_degree}, seed={report.seed})"
-        )
-        for c in report.zero_checks:
-            target = "0⃗" if c.result_kind == 1 else "0"
-            print(f"  {c.name} = {target}: {'holds' if c.holds else 'FAILS'}")
-        print(
-            f"{report.witnessed_count}/{len(report.witness_checks)} non-zero compositions witnessed"
-        )
-        for c in report.witness_checks:
-            print(f"  {c.name}: {'witnessed' if c.witnessed else 'NO WITNESS'}")
-    return 0 if report.passed else 1
+    return 0 if report.passed else 1, {
+        "command": "verify-identities",
+        "trials": report.trials,
+        "max_degree": report.max_degree,
+        "seed": report.seed,
+        "zero_identities": [
+            {"ops": list(c.ops), "name": c.name, "holds": c.holds} for c in report.zero_checks
+        ],
+        "nonzero_witnesses": [
+            {"ops": list(c.ops), "name": c.name, "witnessed": c.witnessed}
+            for c in report.witness_checks
+        ],
+        "passed": report.passed,
+    }
 
 
-def cmd_oeis(args) -> int:
+def text_verify_identities(doc):
+    zeros, witnesses = doc["zero_identities"], doc["nonzero_witnesses"]
+    yield (
+        f"{sum(c['holds'] for c in zeros)}/{len(zeros)} zero-identities hold "
+        f"(trials={doc['trials']}, max degree={doc['max_degree']}, seed={doc['seed']})"
+    )
+    r3 = build_space(3, Family.B)
+    for c in zeros:
+        # the leftmost (last-applied) operation gives the result's kind
+        target = "0⃗" if r3.cod(c["ops"][0]) == 1 else "0"
+        yield f"  {c['name']} = {target}: {'holds' if c['holds'] else 'FAILS'}"
+    yield f"{sum(c['witnessed'] for c in witnesses)}/{len(witnesses)} non-zero compositions witnessed"
+    for c in witnesses:
+        yield f"  {c['name']}: {'witnessed' if c['witnessed'] else 'NO WITNESS'}"
+
+
+def cmd_oeis(args):
     sid = args.id
     if sid not in fixture_ids():
         raise InvalidArgumentError(f"unknown sequence id {sid!r}")
@@ -287,37 +249,34 @@ def cmd_oeis(args) -> int:
     else:
         pairs = id_associations(sid)
     mode = "online" if args.online else "offline"
-    results = []
-    for fam, n in pairs:
-        record = make_record(fam, n, num_terms=args.terms)
-        results.append(oeis_compare(record, mode=mode))
-    if args.format == "json":
-        _emit_json(
+    results = [
+        oeis_compare(make_record(fam, n, num_terms=args.terms), mode=mode) for fam, n in pairs
+    ]
+    return 0 if all(r.passed for r in results) else 1, {
+        "command": "oeis",
+        "id": sid,
+        "comparisons": [
             {
-                "command": "oeis",
-                "id": sid,
-                "comparisons": [
-                    {
-                        "family": r.family.value,
-                        "n": r.n,
-                        "passed": r.passed,
-                        "offset": r.offset,
-                        "matched_terms": r.matched_terms,
-                        "source": r.source,
-                    }
-                    for r in results
-                ],
+                "family": r.family.value,
+                "n": r.n,
+                "passed": r.passed,
+                "offset": r.offset,
+                "matched_terms": r.matched_terms,
+                "source": r.source,
             }
+            for r in results
+        ],
+    }
+
+
+def text_oeis(doc):
+    for r in doc["comparisons"]:
+        offset = f"offset {r['offset']:+d}" if r["offset"] is not None else "no alignment"
+        yield (
+            f"{doc['id']} vs (family {r['family']}, n={r['n']}): "
+            f"{'match' if r['passed'] else 'MISMATCH'} "
+            f"({r['matched_terms']} terms, {offset}, source={r['source']})"
         )
-    else:
-        for r in results:
-            status = "match" if r.passed else "MISMATCH"
-            offset = f"offset {r.offset:+d}" if r.offset is not None else "no alignment"
-            print(
-                f"{sid} vs (family {r.family.value}, n={r.n}): {status} "
-                f"({r.matched_terms} terms, {offset}, source={r.source})"
-            )
-    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,76 +286,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, extra=()):
-        p.add_argument("--format", choices=["text", "json", *extra], default="text")
+    def command(name, help, func, text, space=True):
+        """A subcommand; with space, it opens with --family and --dim."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, text=text)
+        if space:
+            p.add_argument("--family", type=_family, required=True)
+            p.add_argument("--dim", type=int, required=True)
+        return p
 
-    p = sub.add_parser("count", help="count meaningful k-th-order compositions")
-    p.add_argument("--family", type=_family, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p = command("count", "count meaningful k-th-order compositions", cmd_count, text_count)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--per-start", action="store_true", dest="per_start")
-    add_format(p)
-    p.set_defaults(func=cmd_count)
+    p.add_argument("--per-start", action="store_true")
 
-    p = sub.add_parser("enumerate", help="list the meaningful chains, or export the walk tree")
-    p.add_argument("--family", type=_family, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p = command("enumerate", "list the meaningful chains, or export the walk tree",
+                cmd_enumerate, text_enumerate)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--mark-zeros", action="store_true", dest="mark_zeros",
+    p.add_argument("--mark-zeros", action="store_true",
                    help="annotate identically-zero chains (dimension 3 only)")
-    add_format(p, extra=("dot",))
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("charpoly", help="characteristic polynomial and closed-form match")
-    p.add_argument("--family", type=_family, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_charpoly)
+    command("charpoly", "characteristic polynomial and closed-form match", cmd_charpoly,
+            text_charpoly)
 
-    p = sub.add_parser("recurrence", help="derived count recurrence and its verification")
-    p.add_argument("--family", type=_family, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p = command("recurrence", "derived count recurrence and its verification", cmd_recurrence,
+                text_recurrence)
     p.add_argument("--upto", type=int, default=50, help="verify terms up to this order")
-    add_format(p)
-    p.set_defaults(func=cmd_recurrence)
 
-    p = sub.add_parser("table", help="recurrence table over a dimension range")
+    p = command("table", "recurrence table over a dimension range", cmd_table, text_table,
+                space=False)
     p.add_argument("--dims", type=_dims, default=(3, 10), help="range N..M (default 3..10)")
     p.add_argument("--family", type=_family, default=None, help="restrict to one family")
-    add_format(p, extra=("csv",))
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify-identities", help="symbolic composition-identity suite")
+    p = command("verify-identities", "symbolic composition-identity suite",
+                cmd_verify_identities, text_verify_identities, space=False)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=cmd_verify_identities)
 
-    p = sub.add_parser("oeis", help="compare computed terms against a database sequence")
+    p = command("oeis", "compare computed terms against a database sequence", cmd_oeis,
+                text_oeis, space=False)
     p.add_argument("--id", required=True)
     p.add_argument("--online", action="store_true")
     p.add_argument("--family", type=_family, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--terms", type=int, default=30)
-    add_format(p)
-    p.set_defaults(func=cmd_oeis)
 
+    # --format comes last in every subcommand's usage line
+    extra = {"enumerate": ["dot"], "table": ["csv"]}
+    for name, p in sub.choices.items():
+        p.add_argument("--format", choices=["text", "json", *extra.get(name, [])], default="text")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # rendering runs inside the try too, so every error keeps its exit code
     try:
-        return args.func(args)
-    except UsageError as exc:
+        code, doc = args.func(args)
+        if args.format == "json":
+            # default=list materialises enumerate's lazy chain rows
+            print(json.dumps(doc, sort_keys=True, indent=2, default=list))
+        elif args.format == "dot":
+            sys.stdout.write(doc)
+        elif args.format == "csv":
+            csv.writer(sys.stdout, lineterminator="\n").writerows(csv_table(doc))
+        else:
+            for line in args.text(doc):
+                print(line)
+        return code
+    except (UsageError, CapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
     except DiffOpsError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -187,23 +187,19 @@ def _argv() -> list[list[str]]:
 ARGV = _argv()
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process CLI run."""
+def entry(argv: list[str]) -> dict:
+    """Exit code and output hashes of one in-process CLI run; argparse
+    exits through SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def entry(argv: list[str]) -> dict:
-    code, out, err = run(argv)
     return {
         "exit": code,
-        "stdout": hashlib.sha256(out.encode("utf-8")).hexdigest(),
-        "stderr": hashlib.sha256(err.encode("utf-8")).hexdigest(),
+        "stdout": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "stderr": hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
     }
 
 

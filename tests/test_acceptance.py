@@ -30,10 +30,16 @@ from diffops.symcalc3 import (
     verify_identities,
 )
 
+from paper_data import (
+    SECOND_ORDER_A3,
+    SECOND_ORDER_B3,
+    TABLE_A,
+    TABLE_B,
+    THIRD_ORDER_A3,
+    THIRD_ORDER_B3,
+    cayley_table,
+)
 from r3_reference import evaluate, random_poly3
-from test_chains import SECOND_ORDER_A3, SECOND_ORDER_B3, THIRD_ORDER_A3, THIRD_ORDER_B3
-from test_opgraph import cayley_table
-from test_sequences import TABLE_A, TABLE_B
 
 
 def report(label, ok, detail=""):

@@ -14,39 +14,8 @@ from diffops.errors import EnumerationCapError, InvalidOperationError, InvalidOr
 from diffops.exactalg import count_order_k
 from diffops.opgraph import build_space
 
+from paper_data import SECOND_ORDER_A3, SECOND_ORDER_B3, THIRD_ORDER_A3, THIRD_ORDER_B3
 from pair_rule import is_meaningful
-
-# Golden chain sets as displayed in the source lists (leftmost-first).
-SECOND_ORDER_A3 = {(3, 1), (2, 2), (1, 3), (2, 1), (3, 2)}
-THIRD_ORDER_A3 = {
-    (1, 3, 1),
-    (2, 2, 2),
-    (3, 1, 3),
-    (2, 2, 1),
-    (3, 2, 1),
-    (3, 2, 2),
-    (1, 3, 2),
-    (2, 1, 3),
-}
-SECOND_ORDER_B3 = {(0, 0), (1, 0), (3, 1), (2, 2), (0, 3), (1, 3), (2, 1), (3, 2)}
-THIRD_ORDER_B3 = {
-    (0, 0, 0),
-    (1, 0, 0),
-    (3, 1, 0),
-    (0, 3, 1),
-    (1, 3, 1),
-    (2, 2, 2),
-    (0, 0, 3),
-    (1, 0, 3),
-    (3, 1, 3),
-    (2, 1, 0),
-    (2, 2, 1),
-    (3, 2, 1),
-    (3, 2, 2),
-    (0, 3, 2),
-    (1, 3, 2),
-    (2, 1, 3),
-}
 
 
 def ops_set(chains):

@@ -170,6 +170,25 @@ def test_large_dimension_without_quadratic_work(argv, lines):
     assert proc.stdout.splitlines() == lines
 
 
+def test_text_enumerate_streams_its_rows():
+    # the child reads its own peak RSS (KiB on Linux): about 63 MB here,
+    # and about 143 MB if one row dict per chain were held at once
+    env = dict(os.environ, PYTHONPATH=str(Path(diffops.__file__).parents[1]))
+    probe = (
+        "import resource, sys\n"
+        "from diffops.cli import main\n"
+        "code = main(['enumerate', '--family', 'b', '--dim', '3', '--order', '16'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, check=True, timeout=60,
+    )
+    code, peak_kib = map(int, proc.stderr.split())
+    assert code == 0
+    assert peak_kib < 100 * 1024
+
+
 def test_import_leaves_the_network_stack_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(diffops.__file__).parents[1]))
     probe = "import sys, diffops.cli; print('urllib.request' in sys.modules)"

@@ -3,12 +3,8 @@ import pytest
 from diffops.errors import InvalidDimensionError, InvalidOperationError
 from diffops.opgraph import Family, build_space
 
+from paper_data import cayley_table
 from pair_rule import adjacency_matrix, cayley, rule_ops
-
-
-def cayley_table(space):
-    """Truth table of "ops[c] may follow ops[r]", read off the signature table."""
-    return tuple(tuple(space.cod(i) == space.dom(j) for j in space.ops) for i in space.ops)
 
 
 def true_cells(table):

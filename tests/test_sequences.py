@@ -21,28 +21,7 @@ from diffops.sequences import (
 )
 
 from fixture_terms import generate_fixture_terms, write_fixtures
-
-# Reference recurrence coefficients for n = 3..10, frozen for comparison.
-TABLE_A = {
-    3: (1, 1),
-    4: (0, 2),
-    5: (1, 2, -1),
-    6: (0, 3, 0, -1),
-    7: (1, 3, -2, -1),
-    8: (0, 4, 0, -3),
-    9: (1, 4, -3, -3, 1),
-    10: (0, 5, 0, -6, 0, 1),
-}
-TABLE_B = {
-    3: (2,),
-    4: (1, 2, -1),
-    5: (2, 1, -2),
-    6: (1, 3, -2, -1),
-    7: (2, 2, -4),
-    8: (1, 4, -3, -3, 1),
-    9: (2, 3, -6, -1, 2),
-    10: (1, 5, -4, -6, 3, 1),
-}
+from paper_data import TABLE_A, TABLE_B
 
 
 class TestDeriveRecurrence:
